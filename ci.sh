@@ -6,6 +6,12 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 cargo clippy --all-targets --offline --workspace -- -D warnings
 
+# The benchmark under perfbench/ is a workspace of its own that builds
+# against the crates' public API by path: compile and self-test it here so
+# an API change that breaks its adapter fails CI, not the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --locked \
+  --manifest-path perfbench/Cargo.toml
+
 # The telemetry-disabled build must stay a compile-time no-op path.
 cargo build --offline -p obs --no-default-features
 cargo test -q --offline -p obs --no-default-features

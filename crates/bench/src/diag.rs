@@ -120,7 +120,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use montecarlo::{Runner, Seed};
+    use montecarlo::{BernoulliEstimate, Runner, Seed};
     use rand::Rng;
 
     #[test]
@@ -134,9 +134,9 @@ mod tests {
         drop(stale);
 
         let s = session();
-        let report = Runner::new(Seed(71))
+        let (report, _) = Runner::new(Seed(71))
             .with_threads(1)
-            .try_bernoulli(2_000, |rng| rng.gen_bool(0.5))
+            .try_run::<BernoulliEstimate, _>(2_000, || (), |(), rng| rng.gen_bool(0.5), None)
             .unwrap();
         record_report("test.live", &report);
         let drained = s.drain();

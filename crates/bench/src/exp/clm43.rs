@@ -3,7 +3,7 @@
 use crate::{verdict, Ctx};
 use analytic::recurrence;
 use memmodel::MemoryModel;
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Runner, Seed};
 use progmodel::ProgramGenerator;
 use settle::{events, Settler};
 use std::fmt::Write as _;
@@ -20,12 +20,17 @@ pub fn run(ctx: &Ctx) -> String {
     let mut table = Table::new(vec!["i", "paper X_i", "measured", "covered"]);
     for (k, i) in [1usize, 2, 3, 4, 8, 16, 48].into_iter().enumerate() {
         let gen = ProgramGenerator::new(48);
-        let report = Runner::new(Seed(ctx.seed.wrapping_add(k as u64)))
+        let (report, _) = Runner::new(Seed(ctx.seed.wrapping_add(k as u64)))
             .with_threads(ctx.threads)
-            .try_bernoulli(ctx.trials, move |rng| {
-                let program = gen.generate(rng);
-                events::observe_bottom_store(&settler, &program, i, rng)
-            })
+            .try_run::<BernoulliEstimate, _>(
+                ctx.trials,
+                || (),
+                move |(), rng| {
+                    let program = gen.generate(rng);
+                    events::observe_bottom_store(&settler, &program, i, rng)
+                },
+                None,
+            )
             .expect("panic-free simulation");
         crate::diag::record_report(format!("clm43.i{i}"), &report);
         let est = report.value;
@@ -58,7 +63,7 @@ pub fn run(ctx: &Ctx) -> String {
         );
         let est = Runner::new(Seed(ctx.seed ^ ((p * 100.0) as u64) ^ ((s * 10.0) as u64)))
             .with_threads(ctx.threads)
-            .bernoulli(ctx.trials / 2, move |rng| {
+            .run::<BernoulliEstimate>(ctx.trials / 2, move |rng| {
                 let program = gen.generate(rng);
                 events::observe_bottom_store(&settler_g, &program, 48, rng)
             });

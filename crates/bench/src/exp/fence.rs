@@ -3,7 +3,7 @@
 use crate::{verdict, Ctx};
 use memmodel::fence::FenceKind;
 use memmodel::{MemoryModel, OpType};
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Histogram, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use settle::{SettleScratch, Settler};
 use shiftproc::{ShiftProcess, ShiftScratch};
@@ -46,18 +46,24 @@ pub fn run(ctx: &Ctx) -> String {
             let gen = ProgramGenerator::new(M);
             let seed = ctx.seed.wrapping_add((mi * 10 + vi) as u64) ^ 0xFE;
             // Window distribution.
-            let h = Runner::new(Seed(seed)).with_threads(ctx.threads).histogram_scratch(
-                ctx.trials / 2,
-                move || (template(fence), SettleScratch::new()),
-                move |(program, scratch), rng| {
-                    gen.regenerate(program, rng);
-                    settler.sample_gamma_scratch(program, scratch, rng)
-                },
-            );
-            // End-to-end survival.
-            let report = Runner::new(Seed(seed ^ 1))
+            let h = Runner::new(Seed(seed))
                 .with_threads(ctx.threads)
-                .try_bernoulli_scratch(
+                .try_run::<Histogram, _>(
+                    ctx.trials / 2,
+                    move || (template(fence), SettleScratch::new()),
+                    move |(program, scratch), rng| {
+                        gen.regenerate(program, rng);
+                        settler.sample_gamma_scratch(program, scratch, rng)
+                    },
+                    None,
+                )
+                .expect("panic-free simulation")
+                .0
+                .value;
+            // End-to-end survival.
+            let (report, _) = Runner::new(Seed(seed ^ 1))
+                .with_threads(ctx.threads)
+                .try_run::<BernoulliEstimate, _>(
                     ctx.trials / 2,
                     move || {
                         (
@@ -74,6 +80,7 @@ pub fn run(ctx: &Ctx) -> String {
                         }
                         ShiftProcess::canonical().simulate_disjoint_into(&windows[..], shift, rng)
                     },
+                    None,
                 )
                 .expect("panic-free simulation");
             crate::diag::record_report(
@@ -112,14 +119,20 @@ pub fn run(ctx: &Ctx) -> String {
     // critical window (operations may still hoist above it).
     let settler = Settler::for_model(MemoryModel::Wo);
     let gen = ProgramGenerator::new(M);
-    let h = Runner::new(Seed(ctx.seed ^ 0xFEE)).with_threads(ctx.threads).histogram_scratch(
-        ctx.trials / 2,
-        move || (template(Some(FenceKind::Release)), SettleScratch::new()),
-        move |(program, scratch), rng| {
-            gen.regenerate(program, rng);
-            settler.sample_gamma_scratch(program, scratch, rng)
-        },
-    );
+    let h = Runner::new(Seed(ctx.seed ^ 0xFEE))
+        .with_threads(ctx.threads)
+        .try_run::<Histogram, _>(
+            ctx.trials / 2,
+            move || (template(Some(FenceKind::Release)), SettleScratch::new()),
+            move |(program, scratch), rng| {
+                gen.regenerate(program, rng);
+                settler.sample_gamma_scratch(program, scratch, rng)
+            },
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     let leaky = h.tail(1) > 0.0;
     ok &= leaky;
     let _ = writeln!(

@@ -5,7 +5,7 @@
 use crate::{sweep, verdict, Ctx};
 use analytic::general::{GeneralWindowLaws, Params};
 use memmodel::{MemoryModel, OpType, SettleProbs};
-use montecarlo::{chi_square_gof, Runner, Seed};
+use montecarlo::{chi_square_gof, BernoulliEstimate, Histogram, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use settle::{SettleScratch, Settler};
 use shiftproc::{ShiftProcess, ShiftScratch};
@@ -54,14 +54,18 @@ pub fn run(ctx: &Ctx) -> String {
             .expect("valid p");
         let h = Runner::new(Seed(seed.wrapping_add((pi * 10 + mi) as u64) ^ 0x6E))
             .with_threads(inner)
-            .histogram_scratch(
+            .try_run::<Histogram, _>(
                 trials / 2,
                 move || (blank_program(), SettleScratch::new()),
                 move |(program, scratch), rng| {
                     gen.regenerate(program, rng);
                     st.sample_gamma_scratch(program, scratch, rng)
                 },
-            );
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         let gof = chi_square_gof(&h, |g| laws.pmf(model, g).expect("named"), 5.0);
         (p, s, model, gof)
     });
@@ -108,7 +112,7 @@ pub fn run(ctx: &Ctx) -> String {
         let proc = ShiftProcess::with_q(q).expect("valid q");
         let est = Runner::new(Seed(seed.wrapping_add((ci * 10 + mi) as u64) ^ 0x6F))
             .with_threads(inner)
-            .bernoulli_scratch(
+            .try_run::<BernoulliEstimate, _>(
                 trials / 2,
                 move || (blank_program(), SettleScratch::new(), [0u64; 2], ShiftScratch::new()),
                 move |(program, scratch, windows, shift), rng| {
@@ -118,7 +122,11 @@ pub fn run(ctx: &Ctx) -> String {
                     }
                     proc.simulate_disjoint_into(&windows[..], shift, rng)
                 },
-            );
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         (p, s, q, model, analytic_v, est)
     });
     for (p, s, q, model, analytic_v, est) in surv_rows {
@@ -157,9 +165,9 @@ pub fn run(ctx: &Ctx) -> String {
     let sim = |model: MemoryModel, salt: u64| {
         let st = settler(model, 0.8);
         let gen = ProgramGenerator::new(M);
-        let report = Runner::new(Seed(ctx.seed ^ salt))
+        let (report, _) = Runner::new(Seed(ctx.seed ^ salt))
             .with_threads(ctx.threads)
-            .try_bernoulli_scratch(
+            .try_run::<BernoulliEstimate, _>(
                 ctx.trials,
                 move || (blank_program(), SettleScratch::new(), [0u64; 2], ShiftScratch::new()),
                 move |(program, scratch, windows, shift), rng| {
@@ -169,6 +177,7 @@ pub fn run(ctx: &Ctx) -> String {
                     }
                     ShiftProcess::canonical().simulate_disjoint_into(&windows[..], shift, rng)
                 },
+                None,
             )
             .expect("panic-free simulation");
         crate::diag::record_report(

@@ -3,7 +3,7 @@
 use crate::{verdict, Ctx};
 use analytic::lemma42;
 use memmodel::MemoryModel;
-use montecarlo::{chi_square_gof, Runner, Seed};
+use montecarlo::{chi_square_gof, Histogram, Runner, Seed};
 use progmodel::ProgramGenerator;
 use settle::{events, Settler};
 use std::fmt::Write as _;
@@ -16,10 +16,12 @@ pub fn run(ctx: &Ctx) -> String {
     let mut out = String::new();
     let settler = Settler::for_model(MemoryModel::Tso);
     let gen = ProgramGenerator::new(64);
-    let h = Runner::new(Seed(ctx.seed ^ 0x42)).with_threads(ctx.threads).histogram(ctx.trials, move |rng| {
-        let program = gen.generate(rng);
-        events::observe_l_mu(&settler, &program, rng)
-    });
+    let h = Runner::new(Seed(ctx.seed ^ 0x42))
+        .with_threads(ctx.threads)
+        .run::<Histogram>(ctx.trials, move |rng| {
+            let program = gen.generate(rng);
+            events::observe_l_mu(&settler, &program, rng)
+        });
 
     let series = lemma42::pr_l_mu_series_all(96, lemma42::DEFAULT_Q_MAX);
     let mut table = Table::new(vec!["mu", "paper lower bound", "series", "measured"]);

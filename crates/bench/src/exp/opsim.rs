@@ -11,11 +11,14 @@ const FILLER: usize = 8;
 
 fn bug_rate(ctx: &Ctx, model: MemoryModel, n: usize, salt: u64) -> BernoulliEstimate {
     let params = SimParams::for_model(model);
-    let report = Runner::new(Seed(ctx.seed.wrapping_add(salt)))
+    let (report, _) = Runner::new(Seed(ctx.seed.wrapping_add(salt)))
         .with_threads(ctx.threads)
-        .try_bernoulli(ctx.trials / 4, move |rng| {
-            run_increment_trial(n, FILLER, params, rng)
-        })
+        .try_run::<BernoulliEstimate, _>(
+            ctx.trials / 4,
+            || (),
+            move |(), rng| run_increment_trial(n, FILLER, params, rng),
+            None,
+        )
         .expect("panic-free simulation");
     crate::diag::record_report(format!("opsim.n{n}.{}", model.short_name()), &report);
     report.value

@@ -14,18 +14,24 @@ const M: usize = 64;
 /// Seeded window histogram through the allocation-free settle kernel;
 /// draw-for-draw identical to the old `generate` + `sample_gamma` route.
 fn gamma_histogram(settler: Settler, m: usize, trials: u64, seed: u64, threads: usize) -> Histogram {
-    Runner::new(Seed(seed)).with_threads(threads).histogram_scratch(
-        trials,
-        move || {
-            let program =
-                Program::from_filler_types(&vec![OpType::Ld; m]).expect("canonical shape");
-            (program, SettleScratch::with_capacity(m + 2))
-        },
-        move |(program, scratch), rng| {
-            ProgramGenerator::new(m).regenerate(program, rng);
-            settler.sample_gamma_scratch(program, scratch, rng)
-        },
-    )
+    Runner::new(Seed(seed))
+        .with_threads(threads)
+        .try_run(
+            trials,
+            move || {
+                let program =
+                    Program::from_filler_types(&vec![OpType::Ld; m]).expect("canonical shape");
+                (program, SettleScratch::with_capacity(m + 2))
+            },
+            move |(program, scratch), rng| {
+                ProgramGenerator::new(m).regenerate(program, rng);
+                settler.sample_gamma_scratch(program, scratch, rng)
+            },
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value
 }
 
 /// Per model: Monte-Carlo window histogram vs the closed-form / series law,

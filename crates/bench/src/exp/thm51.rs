@@ -1,7 +1,7 @@
 //! EXP-THM51: Theorem 5.1 — exact shift-process disjointness.
 
 use crate::{verdict, Ctx};
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Runner, Seed};
 use shiftproc::{exact, ShiftProcess, ShiftScratch};
 use std::fmt::Write as _;
 use textplot::Table;
@@ -30,12 +30,13 @@ pub fn run(ctx: &Ctx) -> String {
         let rational = exact::pr_disjoint_exact(lengths).to_f64();
         let agree = (perm - dp).abs() < 1e-10 && (dp - rational).abs() < 1e-10;
         let proc = ShiftProcess::canonical();
-        let report = Runner::new(Seed(ctx.seed.wrapping_add(i as u64)))
+        let (report, _) = Runner::new(Seed(ctx.seed.wrapping_add(i as u64)))
             .with_threads(ctx.threads)
-            .try_bernoulli_scratch(
+            .try_run::<BernoulliEstimate, _>(
                 ctx.trials,
                 move || ShiftScratch::with_capacity(lengths.len()),
                 move |scratch, rng| proc.simulate_disjoint_into(lengths, scratch, rng),
+                None,
             )
             .expect("panic-free simulation");
         crate::diag::record_report(format!("thm51.case{i}"), &report);

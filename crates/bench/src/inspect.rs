@@ -255,7 +255,7 @@ fn scan_segment(bytes: &[u8]) -> SegmentScan {
         );
         let framed = tag == "MMRS"
             && u32::from_str_radix(crc_hex, 16).is_ok_and(|crc| {
-                crc == store::crc32(format!("{ver} {kind} {json}").as_bytes())
+                crc == obs::flight::crc32(format!("{ver} {kind} {json}").as_bytes())
             });
         if !framed {
             out.torn = true;

@@ -25,6 +25,7 @@
 //! leading `{` and converted in place on open.
 
 use crate::{checkpoint, Ctx, Error, ExperimentResult, RunResult};
+use obs::flight::crc32;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -34,22 +35,6 @@ const TAG: &str = "MMRJ";
 
 /// Journal format version written by this build.
 pub const VERSION: u32 = 1;
-
-/// CRC-32 (reflected, polynomial `0xEDB88320`, init/xorout `0xFFFFFFFF`)
-/// — the same parameters as zlib/PNG/Ethernet, so frames are checkable
-/// with any standard tool.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// The run-context record heading every journal: enough to rebuild a full
 /// [`RunResult`] and to refuse resuming under an incompatible context.
@@ -428,12 +413,6 @@ mod tests {
             degraded: false,
             fault_ledger: crate::FaultLedger::default(),
         }
-    }
-
-    #[test]
-    fn crc32_matches_the_standard_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

@@ -435,11 +435,15 @@ pub fn run(trials: u64, seed: u64, threads: usize, lanes: usize) -> BenchReport 
         let mt_batch = move || {
             montecarlo::Runner::new(montecarlo::Seed(seed))
                 .with_threads(threads)
-                .bernoulli_scratch(
+                .try_run::<montecarlo::BernoulliEstimate, _>(
                     trials,
                     move || rm.scratch(),
                     move |scratch, rng| rm.simulate_survival_once_scratch(scratch, rng),
+                    None,
                 )
+                .expect("panic-free simulation")
+                .0
+                .value
                 .successes()
         };
         let mt = {

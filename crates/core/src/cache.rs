@@ -2,8 +2,9 @@
 //! lookup/extend/compute orchestration around the runner.
 //!
 //! Every Monte-Carlo entry point in this crate funnels its runner call
-//! through [`cached_run`]. With no store installed ([`store::active`] is
-//! `None`) the seam is a passthrough. With a store installed:
+//! through one request path ([`ReliabilityModel::request`] →
+//! [`cached_run`]). With no store installed ([`store::active`] is `None`)
+//! the seam is a passthrough. With a store installed:
 //!
 //! * an exact request-key **hit** reconstructs the finished
 //!   [`RunReport`] without running a single trial — bit-identical to the
@@ -25,24 +26,41 @@
 //! boundary a cold run would reach with the same merged value.
 
 use crate::ReliabilityModel;
-use montecarlo::{ChunkPrefix, Error, RunReport, Runner, CHUNK_WIDTH};
+use montecarlo::{Accumulator, ChunkPrefix, Error, RunReport, Runner, CHUNK_WIDTH};
 use std::time::Duration;
 use store::{CacheableAcc, CachedPrefix, CachedReport, Lookup, RequestKey};
 
+/// A runner call that may resume from a cached prefix, returning the
+/// report and the prefixes it passed through.
+type Resumable<A> = Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error>;
+
 impl ReliabilityModel {
+    /// The one request path of every Monte-Carlo entry point in this
+    /// crate: derives the request's canonical key, serves, extends or
+    /// computes it through [`cached_run`], and times the runner call
+    /// against the model's telemetry. `run` is the runner call itself,
+    /// resuming from the prefix it is handed (if any).
+    pub(crate) fn request<A: Accumulator + CacheableAcc>(
+        &self,
+        kind: &str,
+        lane_path: bool,
+        runner: &Runner,
+        trials: u64,
+        run: impl FnOnce(Option<ChunkPrefix<A>>) -> Resumable<A>,
+    ) -> RunReport<A> {
+        let key = self.request_key(kind, lane_path, runner, trials);
+        cached_run(&key, runner, trials, |resume| {
+            crate::telemetry::timed_run(self.memory_model(), trials, || run(resume))
+        })
+    }
+
     /// The canonical cache key of one runner request against this model:
     /// kernel version + result kind, the settler's reorder matrix and
     /// probabilities, program shape, seed, chunk width, and path
     /// (`lane_path` keys the batch-lane kernels, whose results are
     /// lane-width-invariant — so the key carries only the path, never
     /// the width).
-    pub(crate) fn request_key(
-        &self,
-        kind: &str,
-        lane_path: bool,
-        runner: &Runner,
-        trials: u64,
-    ) -> RequestKey {
+    fn request_key(&self, kind: &str, lane_path: bool, runner: &Runner, trials: u64) -> RequestKey {
         use memmodel::OpType::{Ld, St};
         let settler = self.settler();
         let probs = settler.probs();
@@ -81,11 +99,10 @@ enum Extension<A> {
 }
 
 /// Replays the cold run's decision schedule over cached prefixes.
-fn plan_extension<A: CacheableAcc + Clone>(
+fn plan_extension<A: Accumulator + CacheableAcc>(
     runner: &Runner,
     trials: u64,
     prefixes: &[CachedPrefix],
-    rse_of: &impl Fn(&A) -> f64,
 ) -> Extension<A> {
     let n_chunks = trials.div_ceil(CHUNK_WIDTH);
     let max_full = trials / CHUNK_WIDTH;
@@ -100,7 +117,12 @@ fn plan_extension<A: CacheableAcc + Clone>(
         abandoned_chunks: 0,
         elapsed: Duration::ZERO,
     };
-    let Some(target) = runner.target_rse() else {
+    // An accumulator with no stop statistic never stops early, so a
+    // target-RSE request over it plans like a fixed-trials one.
+    let Some(target) = runner
+        .target_rse()
+        .filter(|_| A::empty().estimator().is_some())
+    else {
         // Fixed-trials request: one wave, no stop evaluations — any
         // clean prefix is resumable; take the largest.
         return match prefixes
@@ -125,7 +147,7 @@ fn plan_extension<A: CacheableAcc + Clone>(
         let Some(decoded) = p.to_prefix::<A>() else {
             return Extension::Cold;
         };
-        let rse = rse_of(&decoded.value);
+        let rse = decoded.value.estimator().map_or(f64::NAN, |est| est.rse());
         // Mirror the cold engine's `wave_decided` events so a warm replay
         // leaves the same payload trace in the flight log as the run it
         // stands in for.
@@ -164,23 +186,20 @@ fn plan_extension<A: CacheableAcc + Clone>(
 /// pure lookups, family prefixes extend the fold, and clean results are
 /// inserted with their prefix snapshots on the way out.
 ///
-/// `rse_of` must compute the same statistic the runner's stop predicate
-/// uses (ignored unless the runner carries a target); `run` executes the
-/// actual runner entry point, optionally resuming from a prefix.
-pub(crate) fn cached_run<A>(
+/// Stop decisions replayed over cached prefixes read the same statistic
+/// the runner's stop rule does ([`Accumulator::estimator`]); `run`
+/// executes the actual runner entry point, optionally resuming from a
+/// prefix.
+fn cached_run<A: Accumulator + CacheableAcc>(
     key: &RequestKey,
     runner: &Runner,
     trials: u64,
-    rse_of: impl Fn(&A) -> f64,
-    run: impl FnOnce(Option<ChunkPrefix<A>>) -> Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error>,
-) -> RunReport<A>
-where
-    A: CacheableAcc + Clone,
-{
+    run: impl FnOnce(Option<ChunkPrefix<A>>) -> Resumable<A>,
+) -> RunReport<A> {
     let canon = key.canon();
     obs::flight::event("request").detail(&canon).emit();
     obs::flight::set_current_request(Some(canon.as_str()));
-    let finish = |result: Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error>| match result {
+    let finish = |result: Resumable<A>| match result {
         Ok(pair) => pair,
         Err(e) => panic!("monte-carlo worker panicked: {e}"),
     };
@@ -194,7 +213,7 @@ where
             // recompute; the insert below repairs the entry.
             None => None,
         },
-        Lookup::Extend(prefixes) => match plan_extension(runner, trials, &prefixes, &rse_of) {
+        Lookup::Extend(prefixes) => match plan_extension(runner, trials, &prefixes) {
             Extension::Finished(report, keep) => {
                 if let Some(cached) = CachedReport::from_report(&report) {
                     cache.insert(key, cached, keep);

@@ -127,86 +127,65 @@ impl ReliabilityModel {
         let n = self.threads();
         // Lane results are lane-width-invariant, so every width shares one
         // cache key (the key carries only the lane path, not the width).
-        let key = self.request_key("survival_lanes", true, &runner, trials);
-        crate::cache::cached_run(
-            &key,
-            &runner,
-            trials,
-            montecarlo::EstimatorStats::rse,
-            move |resume| {
-                crate::telemetry::timed_run(this.memory_model(), trials, move || {
-                    runner.try_fold_blocks_resume(
-                        trials,
-                        move || this.lane_scratch(lanes),
-                        BernoulliEstimate::new,
-                        move |scratch, seed, chunk, span, acc| {
-                            let trials_run = span.end - span.start;
-                            scratch.for_groups(seed, chunk, span, this.store_prob(), |s, w| {
-                                let settler = this.settler();
-                                let cap = s.lanes.capacity();
-                                for i in 0..n {
-                                    settler.settle_lanes(&mut s.lanes, &mut s.rng, &mut s.gammas[..w]);
-                                    for l in 0..w {
-                                        s.windows[i * cap + l] = s.gammas[l] + 2;
-                                    }
-                                }
-                                s.rng.fill(&mut s.shift_draws, n, cap);
-                                ShiftProcess::canonical().disjoint_lanes(
-                                    &s.windows,
-                                    &s.shift_draws,
-                                    n,
-                                    cap,
-                                    &mut s.survived[..w],
-                                );
-                                for &alive in &s.survived[..w] {
-                                    acc.record(alive);
-                                }
-                            });
-                            scratch.flush_metrics(lanes, trials_run);
-                        },
-                        |a, b| a.merge(&b),
-                        resume,
-                    )
-                })
-            },
-        )
+        self.request("survival_lanes", true, &runner, trials, move |resume| {
+            runner.try_fold_blocks(
+                trials,
+                move || this.lane_scratch(lanes),
+                BernoulliEstimate::new,
+                move |scratch, seed, chunk, span, acc| {
+                    let trials_run = span.end - span.start;
+                    scratch.for_groups(seed, chunk, span, this.store_prob(), |s, w| {
+                        let settler = this.settler();
+                        let cap = s.lanes.capacity();
+                        for i in 0..n {
+                            settler.settle_lanes(&mut s.lanes, &mut s.rng, &mut s.gammas[..w]);
+                            for l in 0..w {
+                                s.windows[i * cap + l] = s.gammas[l] + 2;
+                            }
+                        }
+                        s.rng.fill(&mut s.shift_draws, n, cap);
+                        ShiftProcess::canonical().disjoint_lanes(
+                            &s.windows,
+                            &s.shift_draws,
+                            n,
+                            cap,
+                            &mut s.survived[..w],
+                        );
+                        for &alive in &s.survived[..w] {
+                            acc.record(alive);
+                        }
+                    });
+                    scratch.flush_metrics(lanes, trials_run);
+                },
+                |a, b| a.merge(&b),
+                resume,
+            )
+        })
         .value
     }
 
     fn histogram_lanes_runner(&self, runner: Runner, trials: u64, lanes: usize) -> Histogram {
         let this = *self;
-        let key = self.request_key("windows_lanes", true, &runner, trials);
-        crate::cache::cached_run(
-            &key,
-            &runner,
-            trials,
-            |_: &Histogram| f64::INFINITY,
-            move |resume| {
-                crate::telemetry::timed_run(this.memory_model(), trials, move || {
-                    runner.try_fold_blocks_resume(
-                        trials,
-                        move || this.lane_scratch(lanes),
-                        Histogram::new,
-                        move |scratch, seed, chunk, span, acc| {
-                            let trials_run = span.end - span.start;
-                            scratch.for_groups(seed, chunk, span, this.store_prob(), |s, w| {
-                                this.settler().settle_lanes(
-                                    &mut s.lanes,
-                                    &mut s.rng,
-                                    &mut s.gammas[..w],
-                                );
-                                for &g in &s.gammas[..w] {
-                                    acc.record(g);
-                                }
-                            });
-                            scratch.flush_metrics(lanes, trials_run);
-                        },
-                        |a, b| a.merge(&b),
-                        resume,
-                    )
-                })
-            },
-        )
+        self.request("windows_lanes", true, &runner, trials, move |resume| {
+            runner.try_fold_blocks(
+                trials,
+                move || this.lane_scratch(lanes),
+                Histogram::new,
+                move |scratch, seed, chunk, span, acc| {
+                    let trials_run = span.end - span.start;
+                    scratch.for_groups(seed, chunk, span, this.store_prob(), |s, w| {
+                        this.settler()
+                            .settle_lanes(&mut s.lanes, &mut s.rng, &mut s.gammas[..w]);
+                        for &g in &s.gammas[..w] {
+                            acc.record(g);
+                        }
+                    });
+                    scratch.flush_metrics(lanes, trials_run);
+                },
+                |a, b| a.merge(&b),
+                resume,
+            )
+        })
         .value
     }
 }

@@ -1,7 +1,7 @@
 //! The joined model configuration and its samplers.
 
 use memmodel::{MemoryModel, OpType, CANONICAL_P};
-use montecarlo::{BernoulliEstimate, EstimatorStats, Histogram, RunReport, Runner, Seed};
+use montecarlo::{BernoulliEstimate, Histogram, RunReport, Runner, Seed};
 use progmodel::{Program, ProgramGenerator};
 use rand::Rng;
 use settle::{SettleScratch, Settler};
@@ -257,24 +257,14 @@ impl ReliabilityModel {
         trials: u64,
     ) -> RunReport<BernoulliEstimate> {
         let this = *self;
-        let r = *runner;
-        let key = self.request_key("survival", false, runner, trials);
-        crate::cache::cached_run(
-            &key,
-            runner,
-            trials,
-            EstimatorStats::rse,
-            move |resume| {
-                crate::telemetry::timed_run(this.model, trials, move || {
-                    r.try_bernoulli_scratch_resume(
-                        trials,
-                        move || this.scratch(),
-                        move |scratch, rng| this.simulate_survival_once_scratch(scratch, rng),
-                        resume,
-                    )
-                })
-            },
-        )
+        self.request("survival", false, runner, trials, |resume| {
+            runner.try_run(
+                trials,
+                move || this.scratch(),
+                move |scratch, rng| this.simulate_survival_once_scratch(scratch, rng),
+                resume,
+            )
+        })
     }
 
     /// Empirical distribution of the per-thread window growth `γ = Γ − 2`,
@@ -294,30 +284,18 @@ impl ReliabilityModel {
 
     fn histogram_runner(&self, runner: Runner, trials: u64) -> Histogram {
         let this = *self;
-        let key = self.request_key("windows", false, &runner, trials);
-        crate::cache::cached_run(
-            &key,
-            &runner,
-            trials,
-            |_: &Histogram| f64::INFINITY,
-            move |resume| {
-                crate::telemetry::timed_run(this.model, trials, move || {
-                    runner.try_histogram_scratch_resume(
-                        trials,
-                        move || this.scratch(),
-                        move |scratch, rng| {
-                            this.generator().regenerate(&mut scratch.program, rng);
-                            this.settler.sample_gamma_scratch(
-                                &scratch.program,
-                                &mut scratch.settle,
-                                rng,
-                            )
-                        },
-                        resume,
-                    )
-                })
-            },
-        )
+        self.request("windows", false, &runner, trials, move |resume| {
+            runner.try_run(
+                trials,
+                move || this.scratch(),
+                move |scratch, rng| {
+                    this.generator().regenerate(&mut scratch.program, rng);
+                    this.settler
+                        .sample_gamma_scratch(&scratch.program, &mut scratch.settle, rng)
+                },
+                resume,
+            )
+        })
         .value
     }
 }

@@ -3,7 +3,7 @@
 use crate::ReliabilityModel;
 use analytic::{thm62, thm63};
 use memmodel::MemoryModel;
-use montecarlo::{EstimatorStats, Runner, Seed, Welford};
+use montecarlo::{Runner, Seed, Welford};
 use shiftproc::exchangeable;
 
 /// A Rao-Blackwellised survival estimate (Theorem 6.1).
@@ -64,27 +64,19 @@ impl ReliabilityModel {
 
     fn rb_runner(&self, runner: Runner, trials: u64) -> RbSurvival {
         let this = *self;
-        let key = self.request_key("rb", false, &runner, trials);
-        let stats: Welford = crate::cache::cached_run(
-            &key,
-            &runner,
-            trials,
-            EstimatorStats::rse,
-            move |resume| {
-                crate::telemetry::timed_run(this.memory_model(), trials, move || {
-                    runner.try_mean_scratch_resume(
-                        trials,
-                        move || this.scratch(),
-                        move |scratch, rng| {
-                            let windows = this.sample_windows_scratch(scratch, rng);
-                            exchangeable::sample_factor(windows, 2)
-                        },
-                        resume,
-                    )
-                })
-            },
-        )
-        .value;
+        let stats: Welford = self
+            .request("rb", false, &runner, trials, move |resume| {
+                runner.try_run(
+                    trials,
+                    move || this.scratch(),
+                    move |scratch, rng| {
+                        let windows = this.sample_windows_scratch(scratch, rng);
+                        exchangeable::sample_factor(windows, 2)
+                    },
+                    resume,
+                )
+            })
+            .value;
         let mean = stats.mean();
         RbSurvival {
             log2_survival: exchangeable::log2_survival(

@@ -11,7 +11,7 @@
 
 use memmodel::{MemoryModel, OpType};
 use mmr_core::ReliabilityModel;
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Histogram, Runner, Seed, Welford};
 use progmodel::{Program, ProgramGenerator};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -29,11 +29,17 @@ fn survival_hits_are_unchanged_from_prescratch_kernels() {
     ];
     for (model, hits) in expected {
         let rm = ReliabilityModel::new(model, 2);
-        let est = Runner::new(Seed(42)).with_threads(4).bernoulli_scratch(
-            50_000,
-            move || rm.scratch(),
-            move |scratch, rng| rm.simulate_survival_once_scratch(scratch, rng),
-        );
+        let est = Runner::new(Seed(42))
+            .with_threads(4)
+            .try_run::<BernoulliEstimate, _>(
+                50_000,
+                move || rm.scratch(),
+                move |scratch, rng| rm.simulate_survival_once_scratch(scratch, rng),
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         assert_eq!(est.trials(), 50_000);
         assert_eq!(est.successes(), hits, "{model}: seeded survival stream drifted");
     }
@@ -50,18 +56,24 @@ fn window_histograms_are_unchanged_from_prescratch_kernels() {
         let rm = ReliabilityModel::new(model, 2);
         let settler = *rm.settler();
         let m = rm.filler_len();
-        let h = Runner::new(Seed(7)).with_threads(4).histogram_scratch(
-            20_000,
-            move || {
-                let program = Program::from_filler_types(&vec![OpType::Ld; m])
-                    .expect("canonical shape");
-                (program, SettleScratch::with_capacity(m + 2))
-            },
-            move |(program, scratch), rng| {
-                ProgramGenerator::new(m).regenerate(program, rng);
-                settler.sample_gamma_scratch(program, scratch, rng)
-            },
-        );
+        let h = Runner::new(Seed(7))
+            .with_threads(4)
+            .try_run::<Histogram, _>(
+                20_000,
+                move || {
+                    let program =
+                        Program::from_filler_types(&vec![OpType::Ld; m]).expect("canonical shape");
+                    (program, SettleScratch::with_capacity(m + 2))
+                },
+                move |(program, scratch), rng| {
+                    ProgramGenerator::new(m).regenerate(program, rng);
+                    settler.sample_gamma_scratch(program, scratch, rng)
+                },
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         assert_eq!(h.total(), 20_000);
         for (gamma, &count) in counts.iter().enumerate() {
             assert_eq!(
@@ -87,14 +99,20 @@ fn rb_factor_means_are_unchanged_from_prescratch_kernels() {
     ];
     for (model, mean) in expected {
         let rm = ReliabilityModel::new(model, 6);
-        let stats = Runner::new(Seed(11)).with_threads(4).mean_scratch(
-            20_000,
-            move || rm.scratch(),
-            move |scratch, rng| {
-                let windows = rm.sample_windows_scratch(scratch, rng);
-                exchangeable::sample_factor(windows, 2)
-            },
-        );
+        let stats = Runner::new(Seed(11))
+            .with_threads(4)
+            .try_run::<Welford, _>(
+                20_000,
+                move || rm.scratch(),
+                move |scratch, rng| {
+                    let windows = rm.sample_windows_scratch(scratch, rng);
+                    exchangeable::sample_factor(windows, 2)
+                },
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value;
         assert_eq!(stats.mean(), mean, "{model}: seeded RB factor drifted");
     }
 }

@@ -138,8 +138,9 @@ mod tests {
     fn report_half_width_brackets_the_truth() {
         let report = Runner::new(Seed(41))
             .with_threads(2)
-            .try_bernoulli(50_000, |rng| rng.gen_bool(0.3))
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(50_000, || (), |(), rng| rng.gen_bool(0.3), None)
+            .unwrap()
+            .0;
         let hw = report.ci_half_width(0.999);
         assert!(hw > 0.0 && hw < 0.05, "{hw}");
         assert!((report.mean() - 0.3).abs() < hw, "{} ± {hw}", report.mean());
@@ -153,8 +154,14 @@ mod tests {
         let report = Runner::new(Seed(42))
             .with_threads(2)
             .with_target_rse(0.05)
-            .try_bernoulli(64 * CHUNK_WIDTH, |rng| rng.gen_bool(0.5))
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(
+                64 * CHUNK_WIDTH,
+                || (),
+                |(), rng| rng.gen_bool(0.5),
+                None,
+            )
+            .unwrap()
+            .0;
         assert!(report.converged_early);
         assert!(!report.truncated, "early convergence is not truncation");
         assert!(report.trials_completed < 64 * CHUNK_WIDTH);
@@ -170,8 +177,9 @@ mod tests {
         let report = Runner::new(Seed(43))
             .with_threads(3)
             .with_target_rse(1e-9)
-            .try_bernoulli(trials, |rng| rng.gen_bool(0.5))
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(trials, || (), |(), rng| rng.gen_bool(0.5), None)
+            .unwrap()
+            .0;
         assert!(!report.converged_early);
         assert!(!report.truncated);
         assert_eq!(report.trials_completed, trials);
@@ -184,13 +192,15 @@ mod tests {
         let trials = 5 * CHUNK_WIDTH + 321;
         let plain = Runner::new(Seed(44))
             .with_threads(2)
-            .try_bernoulli(trials, |rng| rng.gen_bool(0.25))
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(trials, || (), |(), rng| rng.gen_bool(0.25), None)
+            .unwrap()
+            .0;
         let gated = Runner::new(Seed(44))
             .with_threads(2)
             .with_target_rse(1e-12)
-            .try_bernoulli(trials, |rng| rng.gen_bool(0.25))
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(trials, || (), |(), rng| rng.gen_bool(0.25), None)
+            .unwrap()
+            .0;
         assert_eq!(plain.value, gated.value);
         assert_eq!(plain.trials_completed, gated.trials_completed);
     }
@@ -201,8 +211,14 @@ mod tests {
             Runner::new(Seed(45))
                 .with_threads(threads)
                 .with_target_rse(0.02)
-                .try_mean(40 * CHUNK_WIDTH, |rng| rng.gen_range(0.0..10.0))
+                .try_run::<Welford, _>(
+                    40 * CHUNK_WIDTH,
+                    || (),
+                    |(), rng| rng.gen_range(0.0..10.0),
+                    None,
+                )
                 .unwrap()
+                .0
         };
         let base = run(1);
         assert!(base.converged_early);
@@ -217,8 +233,14 @@ mod tests {
         let report = Runner::new(Seed(46))
             .with_threads(2)
             .with_target_rse(0.05)
-            .try_mean(64 * CHUNK_WIDTH, |rng| 5.0 + rng.gen_range(-1.0..1.0))
-            .unwrap();
+            .try_run::<Welford, _>(
+                64 * CHUNK_WIDTH,
+                || (),
+                |(), rng| 5.0 + rng.gen_range(-1.0..1.0),
+                None,
+            )
+            .unwrap()
+            .0;
         assert!(report.converged_early);
         assert!(report.rse() <= 0.05);
         assert_eq!(report.value.count(), report.trials_completed);
@@ -228,10 +250,14 @@ mod tests {
     fn trials_per_sec_is_positive_for_real_runs() {
         let report = Runner::new(Seed(47))
             .with_threads(1)
-            .try_bernoulli(10_000, |rng| rng.gen_bool(0.5))
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(10_000, || (), |(), rng| rng.gen_bool(0.5), None)
+            .unwrap()
+            .0;
         assert!(report.trials_per_sec() > 0.0);
-        let zero = Runner::new(Seed(48)).try_bernoulli(0, |_| true).unwrap();
+        let zero = Runner::new(Seed(48))
+            .try_run::<BernoulliEstimate, _>(0, || (), |(), _| true, None)
+            .unwrap()
+            .0;
         assert_eq!(zero.trials_per_sec(), 0.0);
     }
 }

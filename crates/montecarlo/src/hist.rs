@@ -118,17 +118,13 @@ impl Histogram {
     /// Rebuilds a histogram from [`Histogram::dense_counts`] output.
     ///
     /// The total is recomputed from the counts, so the round-trip is exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the counts sum past `u64::MAX`.
+    /// Returns `None` when the counts sum past `u64::MAX` — no histogram
+    /// this crate records can hold them, so they can only come from
+    /// corrupt input.
     #[must_use]
-    pub fn from_dense_counts(counts: Vec<u64>) -> Histogram {
-        let total = counts
-            .iter()
-            .try_fold(0u64, |acc, &c| acc.checked_add(c))
-            .expect("histogram total overflows u64");
-        Histogram { counts, total }
+    pub fn from_dense_counts(counts: Vec<u64>) -> Option<Histogram> {
+        let total = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c))?;
+        Some(Histogram { counts, total })
     }
 }
 
@@ -209,6 +205,16 @@ mod tests {
         h.extend([4u64]);
         assert_eq!(h.count(4), 2);
         assert_eq!(h.total(), 4);
+    }
+
+    #[test]
+    fn dense_counts_round_trip_and_refuse_overflow() {
+        let h: Histogram = [0u64, 2, 2, 5].into_iter().collect();
+        assert_eq!(
+            Histogram::from_dense_counts(h.dense_counts().to_vec()),
+            Some(h)
+        );
+        assert_eq!(Histogram::from_dense_counts(vec![u64::MAX, 1]), None);
     }
 
     #[test]

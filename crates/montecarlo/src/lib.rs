@@ -14,12 +14,12 @@
 //! # Example
 //!
 //! ```
-//! use montecarlo::{Runner, Seed};
+//! use montecarlo::{BernoulliEstimate, Runner, Seed};
 //! use rand::Rng;
 //!
 //! // Estimate Pr[coin == heads] with a deterministic seed.
 //! let runner = Runner::new(Seed(42)).with_threads(2);
-//! let est = runner.bernoulli(10_000, |rng| rng.gen_bool(0.5));
+//! let est: BernoulliEstimate = runner.run(10_000, |rng| rng.gen_bool(0.5));
 //! let (lo, hi) = est.wilson_ci(0.999);
 //! assert!(lo < 0.5 && 0.5 < hi);
 //! ```
@@ -43,5 +43,5 @@ pub use converge::EstimatorStats;
 pub use error::Error;
 pub use hist::Histogram;
 pub use rng::{task_rng, trial_seed, Seed};
-pub use runner::{ChunkPrefix, RunReport, Runner, CHUNK_WIDTH};
+pub use runner::{Accumulator, ChunkPrefix, RunReport, Runner, CHUNK_WIDTH};
 pub use stats::{normal_quantile, BernoulliEstimate, Welford};

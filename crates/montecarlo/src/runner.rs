@@ -1,6 +1,6 @@
 //! Parallel trial runners.
 
-use crate::{pool, BernoulliEstimate, Error, Histogram, Seed, Welford};
+use crate::{pool, BernoulliEstimate, Error, EstimatorStats, Histogram, Seed, Welford};
 use rand::rngs::SmallRng;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,16 +41,21 @@ pub const CHUNK_WIDTH: u64 = 4096;
 /// (Runner::with_max_chunk_retries)), and a wall-clock deadline
 /// ([`with_deadline`](Runner::with_deadline)) degrades a run to an honest
 /// partial estimate instead of aborting it. The `try_*` entry points
-/// surface irrecoverable failures as [`Error`]; the plain entry points
-/// keep the original panicking contract.
+/// surface irrecoverable failures as [`Error`]; [`run`](Runner::run)
+/// keeps the original panicking contract.
+///
+/// Every estimator goes through [`try_run`](Runner::try_run) (or its
+/// infallible, scratch-free form [`run`](Runner::run)), generic over the
+/// [`Accumulator`] it folds into: [`BernoulliEstimate`] for probabilities,
+/// [`Welford`] for means, [`Histogram`] for integer laws.
 ///
 /// # Example
 ///
 /// ```
-/// use montecarlo::{Runner, Seed};
+/// use montecarlo::{Runner, Seed, Welford};
 /// use rand::Rng;
 ///
-/// let mean = Runner::new(Seed(1)).with_threads(4).mean(4_000, |rng| {
+/// let mean: Welford = Runner::new(Seed(1)).with_threads(4).run(4_000, |rng| {
 ///     rng.gen_range(0.0..1.0)
 /// });
 /// assert!((mean.mean() - 0.5).abs() < 0.05);
@@ -152,8 +157,8 @@ impl<A> RunReport<A> {
 /// shares the seed and kernel, regardless of the total trial count — as
 /// long as every prefix chunk was a *full* [`CHUNK_WIDTH`]-trial chunk
 /// (a shorter tail chunk belongs to one specific trial count and cannot be
-/// reused). The `resume` entry points therefore only accept, and the
-/// capture side only emits, prefixes with `trials == chunks * CHUNK_WIDTH`.
+/// reused). A `resume` argument therefore only accepts, and the capture
+/// side only emits, prefixes with `trials == chunks * CHUNK_WIDTH`.
 ///
 /// Resuming re-enters the runner's ascending-chunk-order merge exactly
 /// where a cold run would have been after `chunks` chunks, so even
@@ -167,6 +172,89 @@ pub struct ChunkPrefix<A> {
     pub trials: u64,
     /// The merged accumulator over chunks `[0, chunks)`.
     pub value: A,
+}
+
+/// A per-trial accumulator the runner folds, merges and stops on.
+///
+/// Each trial yields one [`Sample`](Accumulator::Sample); a chunk records
+/// its samples into a fresh [`empty`](Accumulator::empty) accumulator, and
+/// chunk accumulators are merged in ascending chunk order. The three
+/// implementations are the estimators every result of the workspace is
+/// built from: [`BernoulliEstimate`] (`bool`), [`Welford`] (`f64`) and
+/// [`Histogram`] (`u64`).
+pub trait Accumulator: Clone + Send + 'static {
+    /// What one trial yields.
+    type Sample;
+    /// The accumulator of zero trials.
+    fn empty() -> Self;
+    /// Records one trial's sample.
+    fn record(&mut self, sample: Self::Sample);
+    /// Merges the next chunk's accumulator into this one.
+    fn merge(&mut self, next: Self);
+    /// The estimator whose relative standard error the
+    /// [`with_target_rse`](Runner::with_target_rse) stop rule reads — in
+    /// the engine's wave decisions and in a result cache's replay of
+    /// them alike. `None` for accumulators with no scalar standard error,
+    /// which never stop early.
+    fn estimator(&self) -> Option<&dyn EstimatorStats> {
+        None
+    }
+}
+
+impl Accumulator for BernoulliEstimate {
+    type Sample = bool;
+
+    fn empty() -> BernoulliEstimate {
+        BernoulliEstimate::new()
+    }
+
+    fn record(&mut self, hit: bool) {
+        BernoulliEstimate::record(self, hit);
+    }
+
+    fn merge(&mut self, next: BernoulliEstimate) {
+        BernoulliEstimate::merge(self, &next);
+    }
+
+    fn estimator(&self) -> Option<&dyn EstimatorStats> {
+        Some(self)
+    }
+}
+
+impl Accumulator for Welford {
+    type Sample = f64;
+
+    fn empty() -> Welford {
+        Welford::new()
+    }
+
+    fn record(&mut self, x: f64) {
+        Welford::record(self, x);
+    }
+
+    fn merge(&mut self, next: Welford) {
+        Welford::merge(self, &next);
+    }
+
+    fn estimator(&self) -> Option<&dyn EstimatorStats> {
+        Some(self)
+    }
+}
+
+impl Accumulator for Histogram {
+    type Sample = u64;
+
+    fn empty() -> Histogram {
+        Histogram::new()
+    }
+
+    fn record(&mut self, value: u64) {
+        Histogram::record(self, value);
+    }
+
+    fn merge(&mut self, next: Histogram) {
+        Histogram::merge(self, &next);
+    }
 }
 
 /// Builds one per-attempt worker state for a chunk index (the scalar path
@@ -279,9 +367,10 @@ impl Runner {
     /// [`converged_early`](RunReport::converged_early) (not `truncated`)
     /// with the trials it actually needed.
     ///
-    /// Only the estimator entry points (`try_bernoulli*`, `try_mean*` and
-    /// their infallible wrappers) evaluate the target; generic folds and
-    /// histograms have no scalar standard error and ignore it.
+    /// Only accumulators with a stop statistic
+    /// ([`Accumulator::estimator`]: [`BernoulliEstimate`], [`Welford`])
+    /// evaluate the target; histograms and ad-hoc folds have no scalar
+    /// standard error and ignore it.
     ///
     /// # Panics
     ///
@@ -389,11 +478,10 @@ impl Runner {
         self.degrade_on_exhaustion
     }
 
-    /// Runs `trials` independent trials with per-chunk scratch state,
-    /// folding each chunk with `fold` from `init` and merging chunk
-    /// results with `merge`.
+    /// Runs `trials` independent trials into the accumulator `A`, with
+    /// per-chunk scratch state, optionally resuming from a cached prefix —
+    /// the runner's one estimator entry point.
     ///
-    /// This is the primitive every runner in this crate is built on.
     /// Trials are tiled into fixed-width chunks of [`CHUNK_WIDTH`]; the
     /// RNG stream consumed by trial `i` depends only on
     /// `(seed, i / CHUNK_WIDTH)`, workers claim chunks dynamically from an
@@ -410,126 +498,109 @@ impl Runner {
     /// so a panic-free replay is bit-for-bit identical.
     ///
     /// Each chunk executes under `catch_unwind`; a panicking chunk is
-    /// rebuilt from `init()` + `scratch_init()` and replayed from its
+    /// rebuilt from a fresh accumulator and scratch and replayed from its
     /// chunk seed up to [`max_chunk_retries`](Runner::max_chunk_retries)
     /// times before the whole run fails.
     ///
+    /// `resume` re-enters the fold after a stored [`ChunkPrefix`] instead
+    /// of at chunk 0; a resumed run is bit-identical to the cold run it
+    /// continues — same merge order, same stop checkpoints. Alongside the
+    /// report, every cache-worthy prefix the run passed through is
+    /// returned (ascending chunk counts; empty when nothing clean
+    /// completed). With a [`with_target_rse`](Runner::with_target_rse)
+    /// target, the run stops at the first geometric checkpoint where
+    /// `A`'s [stop statistic](Accumulator::estimator) meets it.
+    ///
     /// Closures cross into the persistent worker pool, so they must be
     /// `Send + Sync + 'static` (capture owned or `Arc`-shared data, not
-    /// borrows); `merge` runs only on the calling thread and is exempt.
+    /// borrows).
     ///
     /// # Errors
     ///
     /// [`Error::WorkerPanicked`] when a chunk panics on every attempt;
     /// [`Error::MinTrialsExceedRequested`] when the configured floor can
     /// never be met.
-    pub fn try_fold_scratch<S, T, A>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> Result<RunReport<A>, Error>
-    where
-        S: 'static,
-        A: Send + 'static,
-    {
-        self.try_fold_scratch_stop(trials, scratch_init, init, trial, fold, merge, |_| false)
-    }
-
-    /// [`try_fold_scratch`](Runner::try_fold_scratch) with a sequential
-    /// stopping predicate, the primitive behind
-    /// [`with_target_rse`](Runner::with_target_rse).
     ///
-    /// Without an RSE target every chunk is dispatched in one wave and
-    /// `stop` is never consulted — the behaviour (and the merged result)
-    /// is identical to the plain fold. With a target, chunks are
-    /// dispatched in geometrically growing waves (up to 4, 8, 16, …
-    /// chunks done) and `stop` is evaluated on the merged prefix at each
-    /// wave boundary; a `true` verdict ends the run with
-    /// [`converged_early`](RunReport::converged_early) set. Because waves
-    /// are a pure function of the chunk count and merging stays in chunk
-    /// order, the stopping point cannot depend on thread scheduling.
-    #[allow(clippy::too_many_arguments)]
-    fn try_fold_scratch_stop<S, T, A>(
+    /// # Panics
+    ///
+    /// Panics if `resume` does not cover whole chunks or covers more than
+    /// `trials`.
+    pub fn try_run<A, S>(
         &self,
         trials: u64,
         scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-        stop: impl Fn(&A) -> bool,
-    ) -> Result<RunReport<A>, Error>
-    where
-        S: 'static,
-        A: Send + 'static,
-    {
-        // The scalar path's per-attempt state is the scratch plus the
-        // sequential chunk RNG; one dyn-dispatched batch call covers
-        // `BATCH` trials, so the indirection is invisible in the hot loop.
-        let seed = self.seed;
-        let state_init: Arc<StateInit<(S, SmallRng)>> =
-            Arc::new(move |idx| (scratch_init(), crate::task_rng(seed, idx)));
-        let batch: Arc<BatchFn<(S, SmallRng), A>> = Arc::new(move |state, acc, _idx, span| {
-            let (scratch, rng) = state;
-            for _ in span {
-                fold(acc, trial(scratch, rng));
-            }
-        });
-        self.try_run_stop(trials, state_init, Arc::new(init), batch, merge, stop, None, |_, _| {})
-    }
-
-    /// [`try_fold_scratch_stop`](Runner::try_fold_scratch_stop) extended
-    /// with the cache seam: the run may `resume` from a stored
-    /// [`ChunkPrefix`] instead of chunk 0, and every cache-worthy prefix it
-    /// passes through is cloned into the returned snapshot list (ascending
-    /// chunk counts; empty when nothing clean completed).
-    #[allow(clippy::too_many_arguments)]
-    fn try_fold_scratch_resume_stop<S, T, A>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-        stop: impl Fn(&A) -> bool,
+        trial: impl Fn(&mut S, &mut SmallRng) -> A::Sample + Send + Sync + 'static,
         resume: Option<ChunkPrefix<A>>,
     ) -> Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error>
     where
+        A: Accumulator,
         S: 'static,
-        A: Send + Clone + 'static,
     {
-        let seed = self.seed;
-        let state_init: Arc<StateInit<(S, SmallRng)>> =
-            Arc::new(move |idx| (scratch_init(), crate::task_rng(seed, idx)));
-        let batch: Arc<BatchFn<(S, SmallRng), A>> = Arc::new(move |state, acc, _idx, span| {
-            let (scratch, rng) = state;
-            for _ in span {
-                fold(acc, trial(scratch, rng));
-            }
-        });
+        let (state_init, batch) = self.scalar(scratch_init, trial, A::record);
         let mut snapshots = Vec::new();
         let report = self.try_run_stop(
+            trials,
+            state_init,
+            Arc::new(A::empty),
+            batch,
+            A::merge,
+            wave_stop(self.target_rse.unwrap_or(0.0)),
+            resume,
+            |chunks, value: &A| snapshots.push(prefix_of(chunks, value)),
+        )?;
+        Ok((report, snapshots))
+    }
+
+    /// Infallible, scratch-free [`try_run`](Runner::try_run): each trial
+    /// sees only the chunk RNG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a chunk fails every retry, matching the crate's original
+    /// contract.
+    pub fn run<A: Accumulator>(
+        &self,
+        trials: u64,
+        trial: impl Fn(&mut SmallRng) -> A::Sample + Send + Sync + 'static,
+    ) -> A {
+        match self.try_run(trials, || (), move |(), rng| trial(rng), None) {
+            Ok((report, _)) => report.value,
+            Err(e) => panic!("monte-carlo worker panicked: {e}"),
+        }
+    }
+
+    /// Folds `trials` scratch-free trials into an ad-hoc accumulator:
+    /// each chunk folds from `init` with `fold`, and chunk results merge
+    /// with `merge` (on the calling thread, in chunk order). The tiling,
+    /// retry and deadline contract is [`try_run`](Runner::try_run)'s; an
+    /// ad-hoc accumulator has no stop statistic, so an RSE target is
+    /// ignored.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_run`](Runner::try_run).
+    pub fn try_fold<T, A>(
+        &self,
+        trials: u64,
+        init: impl Fn() -> A + Send + Sync + 'static,
+        trial: impl Fn(&mut SmallRng) -> T + Send + Sync + 'static,
+        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
+        merge: impl Fn(&mut A, A),
+    ) -> Result<RunReport<A>, Error>
+    where
+        A: Send + 'static,
+    {
+        let (state_init, batch) = self.scalar(|| (), move |(), rng| trial(rng), fold);
+        self.try_run_stop(
             trials,
             state_init,
             Arc::new(init),
             batch,
             merge,
-            stop,
-            resume,
-            |chunks, value: &A| {
-                snapshots.push(ChunkPrefix {
-                    chunks,
-                    trials: chunks * CHUNK_WIDTH,
-                    value: value.clone(),
-                });
-            },
-        )?;
-        Ok((report, snapshots))
+            |_| false,
+            None,
+            |_, _| {},
+        )
     }
 
     /// Runs `trials` trials through a **block** kernel: instead of one
@@ -552,50 +623,15 @@ impl Runner {
     /// thread count *and* any internal batching (lane width) the kernel
     /// chooses, and the per-chunk retry/canary machinery recovers faults
     /// bit-for-bit exactly as on the scalar path: a retried chunk gets a
-    /// fresh `scratch_init()` scratch and replays the same spans.
+    /// fresh `scratch_init()` scratch and replays the same spans. The same
+    /// contract makes a run resumed from a stored [`ChunkPrefix`]
+    /// bit-identical to a cold one; the prefixes returned alongside the
+    /// report are those of [`try_run`](Runner::try_run).
     ///
     /// # Errors
     ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
+    /// As [`try_run`](Runner::try_run).
     pub fn try_fold_blocks<S, A>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        block: impl Fn(&mut S, Seed, u64, std::ops::Range<u64>, &mut A) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> Result<RunReport<A>, Error>
-    where
-        S: 'static,
-        A: Send + 'static,
-    {
-        let seed = self.seed;
-        let state_init: Arc<StateInit<S>> = Arc::new(move |_idx| scratch_init());
-        let batch: Arc<BatchFn<S, A>> =
-            Arc::new(move |scratch, acc, idx, span| block(scratch, seed, idx, span, acc));
-        self.try_run_stop(
-            trials,
-            state_init,
-            Arc::new(init),
-            batch,
-            merge,
-            |_| false,
-            None,
-            |_, _| {},
-        )
-    }
-
-    /// [`try_fold_blocks`](Runner::try_fold_blocks) extended with the cache
-    /// seam: resume from a stored [`ChunkPrefix`] and capture the prefixes
-    /// this run produces. The block determinism contract is unchanged —
-    /// trial `t` of chunk `c` must be a pure function of `(seed, c, t)` —
-    /// which is exactly what makes a resumed lane run bit-identical to a
-    /// cold one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_fold_blocks_resume<S, A>(
         &self,
         trials: u64,
         scratch_init: impl Fn() -> S + Send + Sync + 'static,
@@ -606,7 +642,7 @@ impl Runner {
     ) -> Result<(RunReport<A>, Vec<ChunkPrefix<A>>), Error>
     where
         S: 'static,
-        A: Send + Clone + 'static,
+        A: Clone + Send + 'static,
     {
         let seed = self.seed;
         let state_init: Arc<StateInit<S>> = Arc::new(move |_idx| scratch_init());
@@ -621,35 +657,56 @@ impl Runner {
             merge,
             |_| false,
             resume,
-            |chunks, value: &A| {
-                snapshots.push(ChunkPrefix {
-                    chunks,
-                    trials: chunks * CHUNK_WIDTH,
-                    value: value.clone(),
-                });
-            },
+            |chunks, value: &A| snapshots.push(prefix_of(chunks, value)),
         )?;
         Ok((report, snapshots))
     }
 
-    /// Infallible [`try_fold_blocks`](Runner::try_fold_blocks): panics if a
-    /// chunk fails every retry, matching the crate's original contract.
-    pub fn fold_blocks<S, A>(
+    /// [`try_run`](Runner::try_run) into a [`BernoulliEstimate`] with no
+    /// resume. Kept for the `perfbench` adapter, which is built against
+    /// this signature.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_run`](Runner::try_run).
+    pub fn try_bernoulli_scratch<S: 'static>(
         &self,
         trials: u64,
         scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        block: impl Fn(&mut S, Seed, u64, std::ops::Range<u64>, &mut A) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> A
+        trial: impl Fn(&mut S, &mut SmallRng) -> bool + Send + Sync + 'static,
+    ) -> Result<RunReport<BernoulliEstimate>, Error> {
+        self.try_run(trials, scratch_init, trial, None)
+            .map(|(report, _)| report)
+    }
+
+    /// The scalar path's per-attempt state — the scratch plus the
+    /// sequential chunk RNG — and its batch body. One dyn-dispatched batch
+    /// call covers `BATCH` trials, so the indirection is invisible in the
+    /// hot loop.
+    #[allow(clippy::type_complexity)]
+    fn scalar<S, T, A>(
+        &self,
+        scratch_init: impl Fn() -> S + Send + Sync + 'static,
+        trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
+        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
+    ) -> (
+        Arc<StateInit<(S, SmallRng)>>,
+        Arc<BatchFn<(S, SmallRng), A>>,
+    )
     where
         S: 'static,
-        A: Send + 'static,
+        A: 'static,
     {
-        match self.try_fold_blocks(trials, scratch_init, init, block, merge) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
+        let seed = self.seed;
+        let state_init: Arc<StateInit<(S, SmallRng)>> =
+            Arc::new(move |idx| (scratch_init(), crate::task_rng(seed, idx)));
+        let batch: Arc<BatchFn<(S, SmallRng), A>> = Arc::new(move |state, acc, _idx, span| {
+            let (scratch, rng) = state;
+            for _ in span {
+                fold(acc, trial(scratch, rng));
+            }
+        });
+        (state_init, batch)
     }
 
     /// The wave/merge/stop loop every entry point funnels into, generic
@@ -1011,366 +1068,6 @@ impl Runner {
             }
         }
     }
-
-    /// Scratch-free [`try_fold_scratch`](Runner::try_fold_scratch): each
-    /// trial sees only the chunk RNG.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_fold<T, A>(
-        &self,
-        trials: u64,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> Result<RunReport<A>, Error>
-    where
-        A: Send + 'static,
-    {
-        self.try_fold_scratch(trials, || (), init, move |_, rng| trial(rng), fold, merge)
-    }
-
-    /// Estimates a probability from a scratch-carrying trial kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_bernoulli_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> bool + Send + Sync + 'static,
-    ) -> Result<RunReport<BernoulliEstimate>, Error>
-    where
-        S: 'static,
-    {
-        // NaN RSE (empty or all-failure prefix) compares false: a
-        // degenerate estimate is never "converged".
-        let target = self.target_rse.unwrap_or(0.0);
-        self.try_fold_scratch_stop(
-            trials,
-            scratch_init,
-            BernoulliEstimate::new,
-            trial,
-            |acc, hit| acc.record(hit),
-            |a, b| a.merge(&b),
-            wave_stop(target),
-        )
-    }
-
-    /// Estimates a mean from a scratch-carrying trial kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_mean_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> f64 + Send + Sync + 'static,
-    ) -> Result<RunReport<Welford>, Error>
-    where
-        S: 'static,
-    {
-        let target = self.target_rse.unwrap_or(0.0);
-        self.try_fold_scratch_stop(
-            trials,
-            scratch_init,
-            Welford::new,
-            trial,
-            |acc, x| acc.record(x),
-            |a, b| a.merge(&b),
-            wave_stop(target),
-        )
-    }
-
-    /// Builds an empirical histogram from a scratch-carrying trial kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_histogram_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> u64 + Send + Sync + 'static,
-    ) -> Result<RunReport<Histogram>, Error>
-    where
-        S: 'static,
-    {
-        self.try_fold_scratch(
-            trials,
-            scratch_init,
-            Histogram::new,
-            trial,
-            |acc, v| acc.record(v),
-            |a, b| a.merge(&b),
-        )
-    }
-
-    /// [`try_bernoulli_scratch`](Runner::try_bernoulli_scratch) with the
-    /// cache seam: optionally `resume` from a stored [`ChunkPrefix`] and
-    /// return the cache-worthy prefixes this run passed through alongside
-    /// the report. A resumed run is bit-identical to the cold run it
-    /// continues — same merge order, same stop checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_bernoulli_scratch_resume<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> bool + Send + Sync + 'static,
-        resume: Option<ChunkPrefix<BernoulliEstimate>>,
-    ) -> Result<(RunReport<BernoulliEstimate>, Vec<ChunkPrefix<BernoulliEstimate>>), Error>
-    where
-        S: 'static,
-    {
-        let target = self.target_rse.unwrap_or(0.0);
-        self.try_fold_scratch_resume_stop(
-            trials,
-            scratch_init,
-            BernoulliEstimate::new,
-            trial,
-            |acc, hit| acc.record(hit),
-            |a, b| a.merge(&b),
-            wave_stop(target),
-            resume,
-        )
-    }
-
-    /// [`try_mean_scratch`](Runner::try_mean_scratch) with the cache seam;
-    /// see [`try_bernoulli_scratch_resume`]
-    /// (Runner::try_bernoulli_scratch_resume).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_mean_scratch_resume<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> f64 + Send + Sync + 'static,
-        resume: Option<ChunkPrefix<Welford>>,
-    ) -> Result<(RunReport<Welford>, Vec<ChunkPrefix<Welford>>), Error>
-    where
-        S: 'static,
-    {
-        let target = self.target_rse.unwrap_or(0.0);
-        self.try_fold_scratch_resume_stop(
-            trials,
-            scratch_init,
-            Welford::new,
-            trial,
-            |acc, x| acc.record(x),
-            |a, b| a.merge(&b),
-            wave_stop(target),
-            resume,
-        )
-    }
-
-    /// [`try_histogram_scratch`](Runner::try_histogram_scratch) with the
-    /// cache seam; see [`try_bernoulli_scratch_resume`]
-    /// (Runner::try_bernoulli_scratch_resume).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold_scratch`](Runner::try_fold_scratch)'s errors.
-    pub fn try_histogram_scratch_resume<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> u64 + Send + Sync + 'static,
-        resume: Option<ChunkPrefix<Histogram>>,
-    ) -> Result<(RunReport<Histogram>, Vec<ChunkPrefix<Histogram>>), Error>
-    where
-        S: 'static,
-    {
-        self.try_fold_scratch_resume_stop(
-            trials,
-            scratch_init,
-            Histogram::new,
-            trial,
-            |acc, v| acc.record(v),
-            |a, b| a.merge(&b),
-            |_| false,
-            resume,
-        )
-    }
-
-    /// Estimates a probability: `trial` returns whether the event
-    /// occurred. See [`try_fold`](Runner::try_fold) for the error and
-    /// truncation contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold`](Runner::try_fold)'s errors.
-    pub fn try_bernoulli(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> bool + Send + Sync + 'static,
-    ) -> Result<RunReport<BernoulliEstimate>, Error> {
-        self.try_bernoulli_scratch(trials, || (), move |_, rng| trial(rng))
-    }
-
-    /// Estimates a mean: `trial` returns one observation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold`](Runner::try_fold)'s errors.
-    pub fn try_mean(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> f64 + Send + Sync + 'static,
-    ) -> Result<RunReport<Welford>, Error> {
-        self.try_mean_scratch(trials, || (), move |_, rng| trial(rng))
-    }
-
-    /// Builds an empirical histogram: `trial` returns one integer sample.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`try_fold`](Runner::try_fold)'s errors.
-    pub fn try_histogram(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> u64 + Send + Sync + 'static,
-    ) -> Result<RunReport<Histogram>, Error> {
-        self.try_fold(
-            trials,
-            Histogram::new,
-            trial,
-            |acc, v| acc.record(v),
-            |a, b| a.merge(&b),
-        )
-    }
-
-    /// Infallible [`try_fold`](Runner::try_fold): panics if a chunk fails
-    /// every retry, matching the crate's original contract.
-    pub fn fold<T, A>(
-        &self,
-        trials: u64,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> A
-    where
-        A: Send + 'static,
-    {
-        match self.try_fold(trials, init, trial, fold, merge) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Infallible [`try_fold_scratch`](Runner::try_fold_scratch): panics if
-    /// a chunk fails every retry.
-    pub fn fold_scratch<S, T, A>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        init: impl Fn() -> A + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> T + Send + Sync + 'static,
-        fold: impl Fn(&mut A, T) + Send + Sync + 'static,
-        merge: impl Fn(&mut A, A),
-    ) -> A
-    where
-        S: 'static,
-        A: Send + 'static,
-    {
-        match self.try_fold_scratch(trials, scratch_init, init, trial, fold, merge) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Estimates a probability from a scratch-carrying trial kernel.
-    pub fn bernoulli_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> bool + Send + Sync + 'static,
-    ) -> BernoulliEstimate
-    where
-        S: 'static,
-    {
-        match self.try_bernoulli_scratch(trials, scratch_init, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Estimates a mean from a scratch-carrying trial kernel.
-    pub fn mean_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> f64 + Send + Sync + 'static,
-    ) -> Welford
-    where
-        S: 'static,
-    {
-        match self.try_mean_scratch(trials, scratch_init, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Builds an empirical histogram from a scratch-carrying trial kernel.
-    pub fn histogram_scratch<S>(
-        &self,
-        trials: u64,
-        scratch_init: impl Fn() -> S + Send + Sync + 'static,
-        trial: impl Fn(&mut S, &mut SmallRng) -> u64 + Send + Sync + 'static,
-    ) -> Histogram
-    where
-        S: 'static,
-    {
-        match self.try_histogram_scratch(trials, scratch_init, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Estimates a probability: `trial` returns whether the event occurred.
-    pub fn bernoulli(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> bool + Send + Sync + 'static,
-    ) -> BernoulliEstimate {
-        match self.try_bernoulli(trials, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Estimates a mean: `trial` returns one observation.
-    pub fn mean(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> f64 + Send + Sync + 'static,
-    ) -> Welford {
-        match self.try_mean(trials, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
-
-    /// Builds an empirical histogram: `trial` returns one integer sample.
-    pub fn histogram(
-        &self,
-        trials: u64,
-        trial: impl Fn(&mut SmallRng) -> u64 + Send + Sync + 'static,
-    ) -> Histogram {
-        match self.try_histogram(trials, trial) {
-            Ok(report) => report.value,
-            Err(e) => panic!("monte-carlo worker panicked: {e}"),
-        }
-    }
 }
 
 impl Default for Runner {
@@ -1407,19 +1104,32 @@ fn is_prefix_snapshot(clean_full_chunks: u64, max_full_chunks: u64) -> bool {
         || (clean_full_chunks >= 4 && clean_full_chunks.is_power_of_two())
 }
 
+/// The cache-worthy prefix the engine reports at `chunks` whole chunks.
+fn prefix_of<A: Clone>(chunks: u64, value: &A) -> ChunkPrefix<A> {
+    ChunkPrefix {
+        chunks,
+        trials: chunks * CHUNK_WIDTH,
+        value: value.clone(),
+    }
+}
+
 /// Wraps a sequential-stopping RSE target as the runner's stop
-/// predicate: computes the statistic once, publishes it to the progress
-/// heartbeat, records the wave decision in the flight recorder, and
-/// returns whether the target was met. NaN RSE (degenerate estimate)
-/// compares false — never "converged". The telemetry side effects are
-/// strictly out-of-band: the returned decision is a pure function of the
-/// merged accumulator.
-fn wave_stop<A: crate::EstimatorStats>(target: f64) -> impl Fn(&A) -> bool {
+/// predicate: reads the accumulator's stop statistic once, publishes it
+/// to the progress heartbeat, records the wave decision in the flight
+/// recorder, and returns whether the target was met. An accumulator with
+/// no statistic never stops and records nothing; NaN RSE (degenerate
+/// estimate) compares false — never "converged". The telemetry side
+/// effects are strictly out-of-band: the returned decision is a pure
+/// function of the merged accumulator.
+fn wave_stop<A: Accumulator>(target: f64) -> impl Fn(&A) -> bool {
     move |acc| {
-        let rse = crate::EstimatorStats::rse(acc);
+        let Some(est) = acc.estimator() else {
+            return false;
+        };
+        let rse = est.rse();
         let converged = rse <= target;
         obs::progress::set_live_rse(rse);
-        let n = crate::EstimatorStats::count(acc);
+        let n = est.count();
         obs::flight::event("wave_decided")
             .n(n)
             .value(rse)
@@ -1488,7 +1198,7 @@ mod tests {
         let run = |threads| {
             Runner::new(Seed(5))
                 .with_threads(threads)
-                .bernoulli(3 * CHUNK_WIDTH + 999, |rng| rng.gen_bool(0.3))
+                .run::<BernoulliEstimate>(3 * CHUNK_WIDTH + 999, |rng| rng.gen_bool(0.3))
         };
         let base = run(1);
         for threads in [2, 3, 8] {
@@ -1500,7 +1210,7 @@ mod tests {
     fn bernoulli_estimates_probability() {
         let est = Runner::new(Seed(6))
             .with_threads(4)
-            .bernoulli(100_000, |rng| rng.gen_bool(0.25));
+            .run::<BernoulliEstimate>(100_000, |rng| rng.gen_bool(0.25));
         assert!(est.covers(0.25, 0.999), "{est}");
     }
 
@@ -1508,7 +1218,7 @@ mod tests {
     fn mean_estimates_expectation() {
         let w = Runner::new(Seed(7))
             .with_threads(2)
-            .mean(50_000, |rng| f64::from(rng.gen_range(1..=6)));
+            .run::<Welford>(50_000, |rng| f64::from(rng.gen_range(1..=6)));
         assert!((w.mean() - 3.5).abs() < 0.05, "{w}");
         assert_eq!(w.count(), 50_000);
     }
@@ -1517,7 +1227,7 @@ mod tests {
     fn histogram_collects_all_samples() {
         let h = Runner::new(Seed(8))
             .with_threads(4)
-            .histogram(10_000, |rng| u64::from(rng.gen_range(0..4u32)));
+            .run::<Histogram>(10_000, |rng| u64::from(rng.gen_range(0..4u32)));
         assert_eq!(h.total(), 10_000);
         for v in 0..4 {
             assert!((h.pmf(v) - 0.25).abs() < 0.05);
@@ -1526,7 +1236,7 @@ mod tests {
 
     #[test]
     fn zero_trials_yield_empty_accumulators() {
-        let est = Runner::new(Seed(9)).bernoulli(0, |_| true);
+        let est = Runner::new(Seed(9)).run::<BernoulliEstimate>(0, |_| true);
         assert_eq!(est.trials(), 0);
     }
 
@@ -1534,7 +1244,7 @@ mod tests {
     fn single_thread_matches_fold_by_hand() {
         // 1000 trials fit in chunk 0, so the manual stream is task_rng(seed, 0).
         let runner = Runner::new(Seed(10)).with_threads(1);
-        let est = runner.bernoulli(1000, |rng| rng.gen_bool(0.5));
+        let est = runner.run::<BernoulliEstimate>(1000, |rng| rng.gen_bool(0.5));
         let mut rng = crate::task_rng(Seed(10), 0);
         let mut manual = BernoulliEstimate::new();
         for _ in 0..1000 {
@@ -1550,7 +1260,7 @@ mod tests {
         let trials = 2 * CHUNK_WIDTH + 100;
         let est = Runner::new(Seed(33))
             .with_threads(8)
-            .bernoulli(trials, |rng| rng.gen_bool(0.5));
+            .run::<BernoulliEstimate>(trials, |rng| rng.gen_bool(0.5));
         let mut manual = BernoulliEstimate::new();
         for chunk in 0..trials.div_ceil(CHUNK_WIDTH) {
             let mut rng = crate::task_rng(Seed(33), chunk);
@@ -1565,8 +1275,9 @@ mod tests {
     fn full_run_report_is_not_truncated() {
         let report = Runner::new(Seed(11))
             .with_threads(2)
-            .try_bernoulli(5_000, |rng| rng.gen_bool(0.4))
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(5_000, || (), |(), rng| rng.gen_bool(0.4), None)
+            .unwrap()
+            .0;
         assert_eq!(report.trials_requested, 5_000);
         assert_eq!(report.trials_completed, 5_000);
         assert!(!report.truncated);
@@ -1577,16 +1288,25 @@ mod tests {
     #[test]
     fn injected_panic_recovers_bit_for_bit() {
         let runner = Runner::new(Seed(12)).with_threads(3);
-        let clean = runner.try_bernoulli(9_000, |rng| rng.gen_bool(0.3)).unwrap();
+        let clean = runner
+            .try_run::<BernoulliEstimate, _>(9_000, || (), |(), rng| rng.gen_bool(0.3), None)
+            .unwrap()
+            .0;
 
         let inj = Arc::new(FaultInjector::new(FaultMode::PanicOnce { trial: 4_321 }));
         let seen = Arc::clone(&inj);
         let faulty = runner
-            .try_bernoulli(9_000, move |rng| {
-                seen.perturb();
-                rng.gen_bool(0.3)
-            })
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(
+                9_000,
+                || (),
+                move |(), rng| {
+                    seen.perturb();
+                    rng.gen_bool(0.3)
+                },
+                None,
+            )
+            .unwrap()
+            .0;
 
         assert!(inj.has_fired());
         assert_eq!(faulty.retried_chunks, 1);
@@ -1603,10 +1323,15 @@ mod tests {
         let inj = Arc::new(FaultInjector::new(FaultMode::PanicAlways));
         let seen = Arc::clone(&inj);
         let err = runner
-            .try_bernoulli(100, move |rng| {
-                seen.perturb();
-                rng.gen_bool(0.5)
-            })
+            .try_run::<BernoulliEstimate, _>(
+                100,
+                || (),
+                move |(), rng| {
+                    seen.perturb();
+                    rng.gen_bool(0.5)
+                },
+                None,
+            )
             .unwrap_err();
         match err {
             Error::WorkerPanicked {
@@ -1633,8 +1358,14 @@ mod tests {
             .with_max_chunk_retries(1)
             .with_retry_backoff(Duration::ZERO)
             .with_degrade_on_exhaustion(true)
-            .try_bernoulli(2 * CHUNK_WIDTH + 7, |_| panic!("hard fault"))
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(
+                2 * CHUNK_WIDTH + 7,
+                || (),
+                |(), _| panic!("hard fault"),
+                None,
+            )
+            .unwrap()
+            .0;
         assert!(report.degraded);
         assert_eq!(report.abandoned_chunks, 3);
         assert_eq!(report.trials_completed, 0);
@@ -1651,7 +1382,7 @@ mod tests {
             Runner::new(Seed(14))
                 .with_threads(1)
                 .with_max_chunk_retries(0)
-                .bernoulli(10, |_| panic!("hard fault"))
+                .run::<BernoulliEstimate>(10, |_| panic!("hard fault"))
         });
         let msg = payload_to_string(&*result.unwrap_err());
         assert!(msg.contains("monte-carlo worker panicked"), "{msg}");
@@ -1665,11 +1396,17 @@ mod tests {
         let report = Runner::new(Seed(15))
             .with_threads(2)
             .with_deadline(Duration::from_millis(30))
-            .try_bernoulli(1_000_000, |rng| {
-                std::thread::sleep(Duration::from_micros(50));
-                rng.gen_bool(0.5)
-            })
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(
+                1_000_000,
+                || (),
+                |(), rng| {
+                    std::thread::sleep(Duration::from_micros(50));
+                    rng.gen_bool(0.5)
+                },
+                None,
+            )
+            .unwrap()
+            .0;
         assert!(report.truncated);
         assert!(report.trials_completed < 1_000_000);
         assert_eq!(report.value.trials(), report.trials_completed);
@@ -1684,8 +1421,9 @@ mod tests {
             .with_threads(2)
             .with_deadline(Duration::ZERO)
             .with_min_trials(3_000)
-            .try_bernoulli(100_000, |rng| rng.gen_bool(0.5))
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(100_000, || (), |(), rng| rng.gen_bool(0.5), None)
+            .unwrap()
+            .0;
         assert!(report.trials_completed >= 3_000, "{}", report.trials_completed);
         assert!(report.trials_completed <= 100_000);
     }
@@ -1694,7 +1432,7 @@ mod tests {
     fn min_trials_above_requested_is_rejected() {
         let err = Runner::new(Seed(17))
             .with_min_trials(200)
-            .try_bernoulli(100, |_| true)
+            .try_run::<BernoulliEstimate, _>(100, || (), |(), _| true, None)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1710,32 +1448,43 @@ mod tests {
         // A kernel that uses scratch purely as a reusable buffer must give
         // bit-for-bit the same estimate as the plain path.
         let runner = Runner::new(Seed(21)).with_threads(3);
-        let plain = runner.bernoulli(9_999, |rng| {
+        let plain = runner.run::<BernoulliEstimate>(9_999, |rng| {
             let v: Vec<u64> = (0..8).map(|_| rng.gen_range(0..100u64)).collect();
             v.iter().sum::<u64>() > 400
         });
-        let scratch = runner.bernoulli_scratch(
-            9_999,
-            || Vec::with_capacity(8),
-            |buf: &mut Vec<u64>, rng| {
-                buf.clear();
-                buf.extend((0..8).map(|_| rng.gen_range(0..100u64)));
-                buf.iter().sum::<u64>() > 400
-            },
-        );
-        assert_eq!(plain, scratch);
+        let (scratch, _) = runner
+            .try_run::<BernoulliEstimate, _>(
+                9_999,
+                || Vec::with_capacity(8),
+                |buf: &mut Vec<u64>, rng| {
+                    buf.clear();
+                    buf.extend((0..8).map(|_| rng.gen_range(0..100u64)));
+                    buf.iter().sum::<u64>() > 400
+                },
+                None,
+            )
+            .unwrap();
+        assert_eq!(plain, scratch.value);
     }
 
     #[test]
     fn scratch_mean_and_histogram_match_plain() {
         let runner = Runner::new(Seed(22)).with_threads(2);
-        let m1 = runner.mean(5_000, |rng| f64::from(rng.gen_range(1..=6)));
-        let m2 = runner.mean_scratch(5_000, || (), |_, rng| f64::from(rng.gen_range(1..=6)));
-        assert_eq!(m1, m2);
-        let h1 = runner.histogram(5_000, |rng| u64::from(rng.gen_range(0..4u32)));
-        let h2 =
-            runner.histogram_scratch(5_000, || 0u64, |_, rng| u64::from(rng.gen_range(0..4u32)));
-        assert_eq!(h1, h2);
+        let m1 = runner.run::<Welford>(5_000, |rng| f64::from(rng.gen_range(1..=6)));
+        let (m2, _) = runner
+            .try_run::<Welford, _>(5_000, || (), |_, rng| f64::from(rng.gen_range(1..=6)), None)
+            .unwrap();
+        assert_eq!(m1, m2.value);
+        let h1 = runner.run::<Histogram>(5_000, |rng| u64::from(rng.gen_range(0..4u32)));
+        let (h2, _) = runner
+            .try_run::<Histogram, _>(
+                5_000,
+                || 0u64,
+                |_, rng| u64::from(rng.gen_range(0..4u32)),
+                None,
+            )
+            .unwrap();
+        assert_eq!(h1, h2.value);
     }
 
     #[test]
@@ -1744,7 +1493,7 @@ mod tests {
         // only bit-for-bit if the retry starts from a fresh scratch.
         let runner = Runner::new(Seed(23)).with_threads(3);
         let clean = runner
-            .try_bernoulli_scratch(
+            .try_run::<BernoulliEstimate, _>(
                 9_000,
                 || 0u64,
                 |carry: &mut u64, rng| {
@@ -1752,13 +1501,15 @@ mod tests {
                     *carry = carry.wrapping_add(u64::from(hit));
                     hit
                 },
+                None,
             )
-            .unwrap();
+            .unwrap()
+            .0;
 
         let inj = Arc::new(FaultInjector::new(FaultMode::PanicOnce { trial: 4_321 }));
         let seen = Arc::clone(&inj);
         let faulty = runner
-            .try_bernoulli_scratch(
+            .try_run::<BernoulliEstimate, _>(
                 9_000,
                 || 0u64,
                 move |carry: &mut u64, rng| {
@@ -1771,29 +1522,33 @@ mod tests {
                     *carry = carry.wrapping_sub(1_000_000);
                     hit
                 },
+                None,
             )
-            .unwrap();
+            .unwrap()
+            .0;
         assert!(inj.has_fired());
         assert_eq!(faulty.retried_chunks, 1);
         assert_eq!(faulty.value, clean.value);
     }
 
     #[test]
-    fn try_fold_scratch_threads_state_through_a_chunk() {
+    fn scratch_threads_state_through_a_chunk() {
         // Scratch is per-chunk: 100 trials fit in one chunk, so a counter
-        // scratch sees every trial in order.
-        let total = Runner::new(Seed(24)).with_threads(1).fold_scratch(
-            100,
-            || 0u64,
-            || 0u64,
-            |counter: &mut u64, _rng| {
-                *counter += 1;
-                *counter
-            },
-            |acc, seen| *acc = (*acc).max(seen),
-            |a, b| *a = (*a).max(b),
-        );
-        assert_eq!(total, 100);
+        // scratch sees every trial in order — each count 1..=100 once.
+        let (report, _) = Runner::new(Seed(24))
+            .with_threads(1)
+            .try_run::<Histogram, _>(
+                100,
+                || 0u64,
+                |counter, _rng| {
+                    *counter += 1;
+                    *counter
+                },
+                None,
+            )
+            .unwrap();
+        assert_eq!(report.value.max(), Some(100));
+        assert!((1..=100).all(|v| report.value.count(v) == 1));
     }
 
     #[test]
@@ -1812,7 +1567,7 @@ mod tests {
         let trials = 6 * CHUNK_WIDTH + 123; // 6 full chunks, short tail
         let (report, prefixes) = Runner::new(Seed(50))
             .with_threads(3)
-            .try_bernoulli_scratch_resume(trials, || (), |_, rng| rng.gen_bool(0.4), None)
+            .try_run::<BernoulliEstimate, _>(trials, || (), |_, rng| rng.gen_bool(0.4), None)
             .unwrap();
         assert_eq!(report.trials_completed, trials);
         // Snapshots at 4 (geometric) and 6 (last full chunk).
@@ -1826,49 +1581,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn resumed_run_is_bit_identical_to_cold() {
+    /// Resumes a run from every prefix its cold twin captured, at threads
+    /// {1, 3}: the continued fold must land on the very same report, down
+    /// to the accumulator's bits (`bits`). Welford's merge is not
+    /// associative, so this holds only because a resume *continues* the
+    /// fold rather than re-associating it.
+    fn assert_resume_matches_cold<A, K>(
+        seed: u64,
+        trial: fn(&mut SmallRng) -> A::Sample,
+        bits: fn(&A) -> K,
+    ) where
+        A: Accumulator + PartialEq + std::fmt::Debug,
+        K: PartialEq + std::fmt::Debug,
+    {
         let trials = 6 * CHUNK_WIDTH + 777;
-        let cold = |threads| {
-            Runner::new(Seed(51))
+        let run = |threads, resume| {
+            Runner::new(Seed(seed))
                 .with_threads(threads)
-                .try_bernoulli_scratch_resume(trials, || (), |_, rng| rng.gen_bool(0.3), None)
+                .try_run::<A, _>(trials, || (), move |(), rng| trial(rng), resume)
                 .unwrap()
         };
-        let (cold_report, cold_prefixes) = cold(1);
-        // Resume from every cold snapshot, at several thread counts: the
-        // continued fold must land on the very same report.
-        for threads in [1, 2, 3, 8] {
-            for prefix in &cold_prefixes {
-                let (warm, _) = Runner::new(Seed(51))
-                    .with_threads(threads)
-                    .try_bernoulli_scratch_resume(
-                        trials,
-                        || (),
-                        |_, rng| rng.gen_bool(0.3),
-                        Some(*prefix),
-                    )
-                    .unwrap();
-                assert_eq!(warm, cold_report, "threads {threads} chunks {}", prefix.chunks);
+        let (cold, prefixes) = run(1, None);
+        assert_eq!(
+            prefixes.iter().map(|p| p.chunks).collect::<Vec<_>>(),
+            vec![4, 6]
+        );
+        for threads in [1, 3] {
+            assert_eq!(
+                run(threads, None).0,
+                cold,
+                "cold run drifted: threads {threads}"
+            );
+            for prefix in &prefixes {
+                let (warm, _) = run(threads, Some(prefix.clone()));
+                let at = format!("threads {threads} chunks {}", prefix.chunks);
+                assert_eq!(bits(&warm.value), bits(&cold.value), "{at}");
+                assert_eq!(warm, cold, "{at}");
             }
         }
     }
 
     #[test]
-    fn resumed_mean_is_bit_identical_to_cold() {
-        // Welford's merge is not associative, so this only holds because a
-        // resume *continues* the fold rather than re-associating it.
-        let trials = 5 * CHUNK_WIDTH;
-        let runner = Runner::new(Seed(52)).with_threads(2);
-        let (cold, prefixes) = runner
-            .try_mean_scratch_resume(trials, || (), |_, rng| rng.gen_range(0.0..10.0), None)
-            .unwrap();
-        let from = prefixes.iter().find(|p| p.chunks == 4).copied().unwrap();
-        let (warm, _) = runner
-            .try_mean_scratch_resume(trials, || (), |_, rng| rng.gen_range(0.0..10.0), Some(from))
-            .unwrap();
-        assert_eq!(warm.value.raw_parts(), cold.value.raw_parts());
-        assert_eq!(warm, cold);
+    fn resume_is_bit_identical_to_cold_for_every_accumulator() {
+        assert_resume_matches_cold::<BernoulliEstimate, _>(
+            51,
+            |rng| rng.gen_bool(0.3),
+            |e| (e.successes(), e.trials()),
+        );
+        assert_resume_matches_cold::<Welford, _>(
+            52,
+            |rng| rng.gen_range(0.0..10.0),
+            Welford::raw_parts,
+        );
+        assert_resume_matches_cold::<Histogram, _>(
+            56,
+            |rng| u64::from(rng.gen_range(0..16u32)),
+            |h| h.dense_counts().to_vec(),
+        );
     }
 
     #[test]
@@ -1880,17 +1649,17 @@ mod tests {
         let kernel = |_: &mut (), rng: &mut SmallRng| rng.gen_bool(0.25);
         let (_, prefixes) = Runner::new(Seed(53))
             .with_threads(2)
-            .try_bernoulli_scratch_resume(short_trials, || (), kernel, None)
+            .try_run::<BernoulliEstimate, _>(short_trials, || (), kernel, None)
             .unwrap();
         let from = prefixes.last().copied().unwrap();
         assert_eq!(from.chunks, 4);
         let (cold, _) = Runner::new(Seed(53))
             .with_threads(2)
-            .try_bernoulli_scratch_resume(long_trials, || (), kernel, None)
+            .try_run::<BernoulliEstimate, _>(long_trials, || (), kernel, None)
             .unwrap();
         let (warm, warm_prefixes) = Runner::new(Seed(53))
             .with_threads(2)
-            .try_bernoulli_scratch_resume(long_trials, || (), kernel, Some(from))
+            .try_run::<BernoulliEstimate, _>(long_trials, || (), kernel, Some(from))
             .unwrap();
         assert_eq!(warm, cold);
         // The extension also re-emits the longer run's own snapshots past
@@ -1909,7 +1678,7 @@ mod tests {
         let kernel = |_: &mut (), rng: &mut SmallRng| rng.gen_bool(0.5);
         let runner = Runner::new(Seed(54)).with_threads(2).with_target_rse(0.05);
         let (cold, cold_prefixes) = runner
-            .try_bernoulli_scratch_resume(trials, || (), kernel, None)
+            .try_run::<BernoulliEstimate, _>(trials, || (), kernel, None)
             .unwrap();
         assert!(cold.converged_early);
         let converged_at = cold.trials_completed / CHUNK_WIDTH;
@@ -1922,7 +1691,7 @@ mod tests {
             value: BernoulliEstimate::new(),
         };
         let (warm, _) = runner
-            .try_bernoulli_scratch_resume(trials, || (), kernel, Some(short))
+            .try_run::<BernoulliEstimate, _>(trials, || (), kernel, Some(short))
             .unwrap();
         assert_eq!(warm, cold);
     }
@@ -1934,7 +1703,7 @@ mod tests {
         let (report, prefixes) = Runner::new(Seed(55))
             .with_threads(2)
             .with_deadline(Duration::from_millis(5))
-            .try_bernoulli_scratch_resume(
+            .try_run::<BernoulliEstimate, _>(
                 1_000_000_000,
                 || (),
                 |_, rng| {
@@ -1961,11 +1730,17 @@ mod tests {
         let report = Runner::new(Seed(18))
             .with_threads(2)
             .with_deadline(Duration::from_millis(5))
-            .try_bernoulli(10_000_000, move |rng| {
-                seen.perturb();
-                rng.gen_bool(0.5)
-            })
-            .unwrap();
+            .try_run::<BernoulliEstimate, _>(
+                10_000_000,
+                || (),
+                move |(), rng| {
+                    seen.perturb();
+                    rng.gen_bool(0.5)
+                },
+                None,
+            )
+            .unwrap()
+            .0;
         assert!(report.truncated);
         assert!(report.trials_completed > 0);
     }

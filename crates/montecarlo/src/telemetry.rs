@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 /// Runner-level metrics (`mc.runner.*`).
 pub(crate) struct RunnerMetrics {
-    /// Completed `try_fold_scratch` runs (every entry point funnels here).
+    /// Completed runner runs (every entry point funnels here).
     pub runs: obs::Counter,
     /// Trials that contributed to merged results.
     pub trials_completed: obs::Counter,

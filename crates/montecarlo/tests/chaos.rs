@@ -211,8 +211,10 @@ fn lane_checksum_run(threads: usize) -> RunReport<u64> {
                 }
             },
             |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
+            None,
         )
         .expect("recoverable chaos must never fail the lane run")
+        .0
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //! pit `threads ∈ {1, 2, 3, 8}` against each other on every aggregate kind
 //! and on an order-sensitive checksum of the raw RNG streams.
 
-use montecarlo::{Runner, Seed, CHUNK_WIDTH};
+use montecarlo::{BernoulliEstimate, Histogram, Runner, Seed, Welford, CHUNK_WIDTH};
 use rand::Rng;
 
 /// Enough trials to span several chunks, with a ragged final chunk.
@@ -29,7 +29,7 @@ fn bernoulli_identical_across_thread_counts() {
     let run = |threads| {
         Runner::new(Seed(2011))
             .with_threads(threads)
-            .bernoulli(TRIALS, |rng| rng.gen_bool(0.37))
+            .run::<BernoulliEstimate>(TRIALS, |rng| rng.gen_bool(0.37))
     };
     let base = run(1);
     assert_eq!(base.trials(), TRIALS);
@@ -45,7 +45,7 @@ fn mean_identical_across_thread_counts() {
     let run = |threads| {
         Runner::new(Seed(2012))
             .with_threads(threads)
-            .mean(TRIALS, |rng| rng.gen_range(0.0..1.0))
+            .run::<Welford>(TRIALS, |rng| rng.gen_range(0.0..1.0))
     };
     let base = run(1);
     for threads in THREADS {
@@ -61,7 +61,7 @@ fn histogram_identical_across_thread_counts() {
     let run = |threads| {
         Runner::new(Seed(2013))
             .with_threads(threads)
-            .histogram(TRIALS, |rng| u64::from(rng.gen_range(0..16u32)))
+            .run::<Histogram>(TRIALS, |rng| u64::from(rng.gen_range(0..16u32)))
     };
     let base = run(1);
     assert_eq!(base.total(), TRIALS);
@@ -75,8 +75,9 @@ fn run_reports_identical_across_thread_counts() {
     let run = |threads| {
         Runner::new(Seed(2014))
             .with_threads(threads)
-            .try_bernoulli(TRIALS, |rng| rng.gen_bool(0.5))
+            .try_run::<BernoulliEstimate, _>(TRIALS, || (), |(), rng| rng.gen_bool(0.5), None)
             .expect("panic-free run")
+            .0
     };
     let base = run(1);
     assert!(!base.truncated);
@@ -93,13 +94,17 @@ fn rng_stream_checksum_identical_across_thread_counts() {
     // merges, changes the checksum. Deterministic merge order makes the
     // (non-commutative) merge step well-defined.
     let run = |threads| {
-        Runner::new(Seed(2015)).with_threads(threads).fold(
-            TRIALS,
-            || 0u64,
-            |rng| rng.gen::<u64>(),
-            |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
+        Runner::new(Seed(2015))
+            .with_threads(threads)
+            .try_fold(
+                TRIALS,
+                || 0u64,
+                |rng| rng.gen::<u64>(),
+                |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
+                |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
+            )
+            .expect("panic-free simulation")
+            .value
     };
     let base = run(1);
     for threads in THREADS {
@@ -110,15 +115,21 @@ fn rng_stream_checksum_identical_across_thread_counts() {
 #[test]
 fn scratch_kernels_identical_across_thread_counts() {
     let run = |threads| {
-        Runner::new(Seed(2016)).with_threads(threads).histogram_scratch(
-            TRIALS,
-            || Vec::with_capacity(4),
-            |buf: &mut Vec<u64>, rng| {
-                buf.clear();
-                buf.extend((0..4).map(|_| u64::from(rng.gen_range(0..8u32))));
-                buf.iter().sum()
-            },
-        )
+        Runner::new(Seed(2016))
+            .with_threads(threads)
+            .try_run::<Histogram, _>(
+                TRIALS,
+                || Vec::with_capacity(4),
+                |buf: &mut Vec<u64>, rng| {
+                    buf.clear();
+                    buf.extend((0..4).map(|_| u64::from(rng.gen_range(0..8u32))));
+                    buf.iter().sum()
+                },
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value
     };
     let base = run(1);
     for threads in THREADS {
@@ -136,13 +147,17 @@ fn rng_stream_checksum_unchanged_by_telemetry() {
     let _guard = recording_lock();
     obs::set_recording(true);
     let run = |threads| {
-        Runner::new(Seed(2015)).with_threads(threads).fold(
-            TRIALS,
-            || 0u64,
-            |rng| rng.gen::<u64>(),
-            |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
+        Runner::new(Seed(2015))
+            .with_threads(threads)
+            .try_fold(
+                TRIALS,
+                || 0u64,
+                |rng| rng.gen::<u64>(),
+                |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
+                |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
+            )
+            .expect("panic-free simulation")
+            .value
     };
     let base = run(1);
     for threads in THREADS {
@@ -164,8 +179,14 @@ fn sequential_stopping_point_identical_across_thread_counts() {
         Runner::new(Seed(2018))
             .with_threads(threads)
             .with_target_rse(0.02)
-            .try_bernoulli(64 * CHUNK_WIDTH, |rng| rng.gen_bool(0.42))
+            .try_run::<BernoulliEstimate, _>(
+                64 * CHUNK_WIDTH,
+                || (),
+                |(), rng| rng.gen_bool(0.42),
+                None,
+            )
             .expect("panic-free run")
+            .0
     };
     let base = run(1);
     assert!(base.converged_early, "target must be reachable for this test");
@@ -185,8 +206,14 @@ fn sequential_stopping_unchanged_by_recording_state() {
         Runner::new(Seed(2019))
             .with_threads(3)
             .with_target_rse(0.03)
-            .try_mean(64 * CHUNK_WIDTH, |rng| rng.gen_range(1.0..9.0))
+            .try_run::<Welford, _>(
+                64 * CHUNK_WIDTH,
+                || (),
+                |(), rng| rng.gen_range(1.0..9.0),
+                None,
+            )
             .expect("panic-free run")
+            .0
     };
     let _guard = recording_lock();
     obs::set_recording(true);
@@ -236,15 +263,21 @@ fn lane_checksum_identical_across_widths_and_thread_counts() {
     // with per-trial counter seeding is bit-identical for every lane
     // width and every worker count. Width 1 × 1 worker is the reference.
     let run = |width: usize, threads: usize| {
-        Runner::new(Seed(2020)).with_threads(threads).fold_blocks(
-            TRIALS,
-            move || settle::LaneRng::with_capacity(width),
-            || 0u64,
-            move |rng, seed, chunk, span, acc| {
-                lane_block_checksum(rng, seed, chunk, span, width, acc);
-            },
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
+        Runner::new(Seed(2020))
+            .with_threads(threads)
+            .try_fold_blocks(
+                TRIALS,
+                move || settle::LaneRng::with_capacity(width),
+                || 0u64,
+                move |rng, seed, chunk, span, acc| {
+                    lane_block_checksum(rng, seed, chunk, span, width, acc);
+                },
+                |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
+                None,
+            )
+            .expect("panic-free simulation")
+            .0
+            .value
     };
     let base = run(1, 1);
     for width in [1usize, 4, 8, 16] {
@@ -287,13 +320,19 @@ fn lane_checksum_matches_a_hand_rolled_chunk_loop() {
         .into_iter()
         .fold(0u64, |a, b| a.wrapping_mul(0x9E37_79B9).wrapping_add(b));
 
-    let via_runner = Runner::new(seed).with_threads(3).fold_blocks(
-        TRIALS,
-        || settle::LaneRng::with_capacity(8),
-        || 0u64,
-        |rng, seed, chunk, span, acc| lane_block_checksum(rng, seed, chunk, span, 8, acc),
-        |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-    );
+    let via_runner = Runner::new(seed)
+        .with_threads(3)
+        .try_fold_blocks(
+            TRIALS,
+            || settle::LaneRng::with_capacity(8),
+            || 0u64,
+            |rng, seed, chunk, span, acc| lane_block_checksum(rng, seed, chunk, span, 8, acc),
+            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
+            None,
+        )
+        .expect("panic-free simulation")
+        .0
+        .value;
     assert_eq!(via_runner, by_hand, "runner tiling leaked into the lane stream");
 }
 
@@ -304,7 +343,7 @@ fn repeated_runs_are_stable() {
     let run = || {
         Runner::new(Seed(2017))
             .with_threads(3)
-            .mean(TRIALS, |rng| rng.gen_range(-1.0..1.0))
+            .run::<Welford>(TRIALS, |rng| rng.gen_range(-1.0..1.0))
     };
     assert_eq!(run(), run());
 }

@@ -66,6 +66,9 @@ fn results_are_bit_identical_served_unserved_and_under_client_churn() {
     persistent
         .write_all(b"GET /events HTTP/1.0\r\n\r\n")
         .unwrap();
+    // The server subscribes a client before it writes the response head,
+    // so the first bytes read prove the persistent client is attached.
+    let (attached_tx, attached) = std::sync::mpsc::channel();
     let drain = std::thread::spawn(move || {
         let mut streamed = Vec::new();
         let mut buf = [0u8; 4096];
@@ -73,11 +76,15 @@ fn results_are_bit_identical_served_unserved_and_under_client_churn() {
             if n == 0 {
                 break;
             }
+            if streamed.is_empty() {
+                let _ = attached_tx.send(());
+            }
             streamed.extend_from_slice(&buf[..n]);
         }
         streamed
     });
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let (churned_tx, churned) = std::sync::mpsc::channel();
     let churn = {
         let stop = stop.clone();
         std::thread::spawn(move || {
@@ -91,10 +98,20 @@ fn results_are_bit_identical_served_unserved_and_under_client_churn() {
                 let _ = c.read(&mut [0u8; 512]);
                 drop(c); // hang up mid-stream
                 cycles += 1;
+                let _ = churned_tx.send(());
             }
             cycles
         })
     };
+    // The runs below take milliseconds: start them only once both clients
+    // are live, or they can finish before either one connects.
+    let ready = Duration::from_secs(30);
+    attached
+        .recv_timeout(ready)
+        .expect("persistent client attached");
+    churned
+        .recv_timeout(ready)
+        .expect("churn thread completed a connection");
 
     for threads in THREADS {
         assert_eq!(

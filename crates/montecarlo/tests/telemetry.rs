@@ -8,7 +8,7 @@
 //! so every test here serializes through one lock.
 
 use montecarlo::fault::{FaultInjector, FaultMode};
-use montecarlo::{Runner, Seed, CHUNK_WIDTH};
+use montecarlo::{BernoulliEstimate, Runner, Seed, CHUNK_WIDTH};
 use rand::Rng;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -27,8 +27,9 @@ fn injected_panics_count_exactly_and_recover_bit_for_bit() {
     obs::set_recording(true);
     let runner = Runner::new(Seed(77)).with_threads(3);
     let clean = runner
-        .try_bernoulli(TRIALS, |rng| rng.gen_bool(0.3))
-        .expect("clean run");
+        .try_run::<BernoulliEstimate, _>(TRIALS, || (), |(), rng| rng.gen_bool(0.3), None)
+        .expect("clean run")
+        .0;
 
     let before = obs::snapshot()
         .counter("mc.runner.chunks_retried")
@@ -41,11 +42,17 @@ fn injected_panics_count_exactly_and_recover_bit_for_bit() {
         }));
         let seen = Arc::clone(&inj);
         let faulty = runner
-            .try_bernoulli(TRIALS, move |rng| {
-                seen.perturb();
-                rng.gen_bool(0.3)
-            })
-            .expect("recovered run");
+            .try_run::<BernoulliEstimate, _>(
+                TRIALS,
+                || (),
+                move |(), rng| {
+                    seen.perturb();
+                    rng.gen_bool(0.3)
+                },
+                None,
+            )
+            .expect("recovered run")
+            .0;
         assert!(inj.has_fired(), "injected fault {i} never fired");
         assert_eq!(faulty.retried_chunks, 1, "run {i}");
         assert_eq!(faulty.trials_completed, TRIALS, "run {i}");
@@ -64,13 +71,17 @@ fn injected_panics_count_exactly_and_recover_bit_for_bit() {
 fn results_identical_with_recording_on_off_and_progress() {
     let _guard = global_lock();
     let run = |threads: usize| {
-        Runner::new(Seed(2018)).with_threads(threads).fold(
-            TRIALS,
-            || 0u64,
-            |rng| rng.gen::<u64>(),
-            |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
-            |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
-        )
+        Runner::new(Seed(2018))
+            .with_threads(threads)
+            .try_fold(
+                TRIALS,
+                || 0u64,
+                |rng| rng.gen::<u64>(),
+                |acc, x| *acc = acc.wrapping_mul(0x100_0003).wrapping_add(x),
+                |a, b| *a = a.wrapping_mul(0x9E37_79B9).wrapping_add(b),
+            )
+            .expect("panic-free simulation")
+            .value
     };
     obs::set_recording(true);
     let base = run(1);
@@ -93,8 +104,9 @@ fn run_telemetry_reflects_the_work_done() {
     let before = obs::snapshot();
     let report = Runner::new(Seed(99))
         .with_threads(2)
-        .try_bernoulli(TRIALS, |rng| rng.gen_bool(0.5))
-        .unwrap();
+        .try_run::<BernoulliEstimate, _>(TRIALS, || (), |(), rng| rng.gen_bool(0.5), None)
+        .unwrap()
+        .0;
     assert_eq!(report.trials_completed, TRIALS);
     let after = obs::snapshot();
     let delta = |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);

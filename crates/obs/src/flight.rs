@@ -296,9 +296,10 @@ pub(crate) fn frame_line(ev: &FlightEvent) -> Option<String> {
     serde_json::to_string(ev).ok().map(|json| frame(&json))
 }
 
-/// CRC-32 (zlib polynomial, reflected, init/xorout `0xFFFFFFFF`) — the
-/// same checksum the checkpoint journal and cache segments use, computed
-/// here so `obs` stays dependency-free.
+/// CRC-32 (zlib polynomial, reflected, init/xorout `0xFFFFFFFF`), so
+/// frames are checkable with any standard tool. The one checksum of every
+/// framed log in the workspace: flight logs here, and the checkpoint
+/// journal and cache segments, which import it.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;

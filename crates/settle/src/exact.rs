@@ -141,7 +141,7 @@ mod tests {
     use analytic::window_law::{self, TsoLaw, WindowLaws};
     use memmodel::MemoryModel;
     use memmodel::OpType::{Ld, St};
-    use montecarlo::{Runner, Seed};
+    use montecarlo::{Histogram, Runner, Seed};
 
     fn settler(model: MemoryModel) -> Settler {
         Settler::for_model(model)
@@ -201,9 +201,8 @@ mod tests {
             let s = settler(model);
             let exact = window_pmf_for_program(&s, &program);
             let prog = program.clone();
-            let h = Runner::new(Seed(31)).histogram(trials, move |rng| {
-                s.sample_gamma(&prog, rng)
-            });
+            let h = Runner::new(Seed(31))
+                .run::<Histogram>(trials, move |rng| s.sample_gamma(&prog, rng));
             for (gamma, &p) in exact.iter().enumerate() {
                 let observed = h.pmf(gamma as u64);
                 assert!(

@@ -10,7 +10,7 @@ use analytic::lemma42;
 use analytic::recurrence;
 use analytic::window_law::{self, TsoLaw, WindowLaws};
 use memmodel::MemoryModel;
-use montecarlo::{chi_square_gof, Runner, Seed};
+use montecarlo::{chi_square_gof, BernoulliEstimate, Histogram, Runner, Seed};
 use progmodel::ProgramGenerator;
 use settle::{events, Settler};
 
@@ -24,7 +24,7 @@ const N_SAMPLES: u64 = if cfg!(debug_assertions) { 30_000 } else { 200_000 };
 fn window_histogram(model: MemoryModel, seed: u64) -> montecarlo::Histogram {
     let settler = Settler::for_model(model);
     let gen = ProgramGenerator::new(M);
-    Runner::new(Seed(seed)).histogram(N_SAMPLES, move |rng| {
+    Runner::new(Seed(seed)).run::<Histogram>(N_SAMPLES, move |rng| {
         let program = gen.generate(rng);
         settler.sample_gamma(&program, rng)
     })
@@ -96,7 +96,7 @@ fn claim_43_bottom_store_fraction() {
     // Pr[S_{ST,i}(i)] → 2/3 under TSO; check at i = M (steady state).
     let settler = Settler::for_model(MemoryModel::Tso);
     let gen = ProgramGenerator::new(M);
-    let est = Runner::new(Seed(106)).bernoulli(N_SAMPLES, move |rng| {
+    let est = Runner::new(Seed(106)).run::<BernoulliEstimate>(N_SAMPLES, move |rng| {
         let program = gen.generate(rng);
         events::observe_bottom_store(&settler, &program, M, rng)
     });
@@ -112,10 +112,11 @@ fn claim_43_finite_i_recurrence() {
     let settler = Settler::for_model(MemoryModel::Tso);
     for i in [1usize, 2, 3, 5] {
         let gen = ProgramGenerator::new(8);
-        let est = Runner::new(Seed(200 + i as u64)).bernoulli(N_SAMPLES / 2, move |rng| {
-            let program = gen.generate(rng);
-            events::observe_bottom_store(&settler, &program, i, rng)
-        });
+        let est: BernoulliEstimate =
+            Runner::new(Seed(200 + i as u64)).run(N_SAMPLES / 2, move |rng| {
+                let program = gen.generate(rng);
+                events::observe_bottom_store(&settler, &program, i, rng)
+            });
         let expected = recurrence::bottom_store_fraction(0.5, 0.5, i as u64);
         assert!(
             est.covers(expected, 0.999),
@@ -128,7 +129,7 @@ fn claim_43_finite_i_recurrence() {
 fn lemma_42_l_mu_distribution() {
     let settler = Settler::for_model(MemoryModel::Tso);
     let gen = ProgramGenerator::new(M);
-    let h = Runner::new(Seed(107)).histogram(N_SAMPLES, move |rng| {
+    let h = Runner::new(Seed(107)).run::<Histogram>(N_SAMPLES, move |rng| {
         let program = gen.generate(rng);
         events::observe_l_mu(&settler, &program, rng)
     });
@@ -160,7 +161,7 @@ fn window_law_is_insensitive_to_m_truncation() {
     let mut prev_gap = f64::INFINITY;
     for m in [8usize, 16, 32] {
         let gen = ProgramGenerator::new(m);
-        let h = Runner::new(Seed(108)).histogram(N_SAMPLES, move |rng| {
+        let h = Runner::new(Seed(108)).run::<Histogram>(N_SAMPLES, move |rng| {
             let program = gen.generate(rng);
             settler.sample_gamma(&program, rng)
         });
@@ -184,7 +185,7 @@ fn custom_model_ld_st_only_never_grows_the_window() {
         memmodel::SettleProbs::canonical(),
     );
     let gen = ProgramGenerator::new(16);
-    let est = Runner::new(Seed(109)).bernoulli(20_000, move |rng| {
+    let est = Runner::new(Seed(109)).run::<BernoulliEstimate>(20_000, move |rng| {
         let program = gen.generate(rng);
         settler.sample_gamma(&program, rng) == 0
     });

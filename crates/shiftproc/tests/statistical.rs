@@ -1,7 +1,7 @@
 //! Statistical validation of Theorem 5.1: Monte-Carlo disjointness
 //! frequencies must match the exact permutation-sum probabilities.
 
-use montecarlo::{chi_square_gof, Histogram, Runner, Seed};
+use montecarlo::{chi_square_gof, BernoulliEstimate, Histogram, Runner, Seed};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use shiftproc::{exact, ShiftProcess};
@@ -16,7 +16,7 @@ fn check(lengths: &'static [u64], seed: u64) {
     let expect = exact::pr_disjoint(lengths);
     let proc = ShiftProcess::canonical();
     let est = Runner::new(Seed(seed))
-        .bernoulli(TRIALS, move |rng| proc.simulate_disjoint(lengths, rng));
+        .run::<BernoulliEstimate>(TRIALS, move |rng| proc.simulate_disjoint(lengths, rng));
     assert!(
         est.covers(expect, 0.999),
         "γ̄={lengths:?}: exact {expect}, observed {est}"
@@ -52,12 +52,10 @@ fn heterogeneous_vs_homogeneous_at_equal_total_length() {
     let homo = exact::pr_disjoint(&[2, 2]);
     assert!(hetero > homo);
     let proc = ShiftProcess::canonical();
-    let h = Runner::new(Seed(309)).bernoulli(TRIALS, move |rng| {
-        proc.simulate_disjoint(&[0, 4], rng)
-    });
-    let m = Runner::new(Seed(310)).bernoulli(TRIALS, move |rng| {
-        proc.simulate_disjoint(&[2, 2], rng)
-    });
+    let h = Runner::new(Seed(309))
+        .run::<BernoulliEstimate>(TRIALS, move |rng| proc.simulate_disjoint(&[0, 4], rng));
+    let m = Runner::new(Seed(310))
+        .run::<BernoulliEstimate>(TRIALS, move |rng| proc.simulate_disjoint(&[2, 2], rng));
     assert!(h.point() > m.point());
 }
 
@@ -103,7 +101,7 @@ fn general_q_formula_matches_simulation() {
         let expect = exact::pr_disjoint_with_q(lengths, q);
         let proc = ShiftProcess::with_q(q).expect("valid q");
         let est = Runner::new(Seed(900 + (q * 100.0) as u64))
-            .bernoulli(TRIALS, move |rng| proc.simulate_disjoint(lengths, rng));
+            .run::<BernoulliEstimate>(TRIALS, move |rng| proc.simulate_disjoint(lengths, rng));
         assert!(
             est.covers(expect, 0.999),
             "q={q}: exact {expect}, observed {est}"

@@ -54,7 +54,8 @@ pub trait CacheableAcc: Sized {
     /// Serializes the accumulator.
     fn to_state(&self) -> AccState;
     /// Rebuilds the accumulator; `None` when the state is a different
-    /// accumulator kind (a corrupt or mismatched cache record).
+    /// accumulator kind or holds values no run could have produced (a
+    /// corrupt or mismatched cache record).
     fn from_state(state: &AccState) -> Option<Self>;
 }
 
@@ -103,7 +104,7 @@ impl CacheableAcc for Histogram {
 
     fn from_state(state: &AccState) -> Option<Histogram> {
         match state {
-            AccState::Hist(s) => Some(Histogram::from_dense_counts(s.counts.clone())),
+            AccState::Hist(s) => Histogram::from_dense_counts(s.counts.clone()),
             _ => None,
         }
     }
@@ -132,10 +133,10 @@ impl CachedPrefix {
     }
 
     /// Rebuilds a runner prefix; `None` on an accumulator-kind mismatch
-    /// or an inconsistent chunk/trial pair.
+    /// or an inconsistent (or overflowing) chunk/trial pair.
     #[must_use]
     pub fn to_prefix<A: CacheableAcc>(&self) -> Option<ChunkPrefix<A>> {
-        if self.trials != self.chunks * montecarlo::CHUNK_WIDTH {
+        if self.chunks.checked_mul(montecarlo::CHUNK_WIDTH) != Some(self.trials) {
             return None;
         }
         Some(ChunkPrefix {
@@ -250,6 +251,38 @@ mod tests {
         let est = BernoulliEstimate::from_counts(1, 2);
         assert!(Welford::from_state(&est.to_state()).is_none());
         assert!(Histogram::from_state(&est.to_state()).is_none());
+    }
+
+    #[test]
+    fn out_of_range_disk_values_decode_to_none() {
+        // CRC-valid but impossible records: the seam must see `None` (and
+        // recompute), never a panic.
+        let overflowing = AccState::Hist(HistState {
+            counts: vec![u64::MAX, 1],
+        });
+        assert!(Histogram::from_state(&overflowing).is_none());
+        let report = CachedReport {
+            value: overflowing.clone(),
+            trials_requested: 1,
+            trials_completed: 1,
+            converged_early: false,
+        };
+        assert!(report.to_report::<Histogram>().is_none());
+        let prefix = CachedPrefix {
+            chunks: 4,
+            trials: 4 * montecarlo::CHUNK_WIDTH,
+            value: overflowing,
+        };
+        assert!(prefix.to_prefix::<Histogram>().is_none());
+        // `chunks * CHUNK_WIDTH` overflows u64: refused, even when `trials`
+        // holds the wrapped product.
+        let chunks = u64::MAX / montecarlo::CHUNK_WIDTH + 1;
+        let wrapped = CachedPrefix {
+            chunks,
+            trials: chunks.wrapping_mul(montecarlo::CHUNK_WIDTH),
+            value: BernoulliEstimate::new().to_state(),
+        };
+        assert!(wrapped.to_prefix::<BernoulliEstimate>().is_none());
     }
 
     #[test]

@@ -37,5 +37,4 @@ pub use acc::{
     MeanState,
 };
 pub use key::{fnv1a64, splitmix64, KeyHash, KeySpec, RequestKey, CANON_VERSION, KERNEL_VERSION};
-pub use segment::crc32;
 pub use store::{active, clear, install, Lookup, StatsSnapshot, Store, StoreError};

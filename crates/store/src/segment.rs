@@ -24,6 +24,7 @@
 //! costs a recompute, never correctness.
 
 use crate::acc::Entry;
+use obs::flight::crc32;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -38,22 +39,6 @@ pub const VERSION: u32 = 1;
 
 /// Default byte length at which the current segment is rolled.
 pub(crate) const DEFAULT_ROLL_BYTES: u64 = 4 << 20;
-
-/// CRC-32 (reflected, polynomial `0xEDB88320`, init/xorout `0xFFFFFFFF`)
-/// — identical parameters to the checkpoint journal, zlib, and PNG, so
-/// frames are checkable with any standard tool.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Frames one record as a segment line (with trailing newline).
 fn frame(kind: &str, json: &str) -> String {
@@ -576,11 +561,6 @@ mod tests {
             },
             prefixes: Vec::new(),
         }
-    }
-
-    #[test]
-    fn crc32_matches_the_standard_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

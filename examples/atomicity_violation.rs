@@ -10,7 +10,7 @@
 use execsim::{increment_workload, increment_workload_fenced, Machine, SimParams};
 use memmodel::fence::FenceKind;
 use memmodel::MemoryModel;
-use montecarlo::{Runner, Seed};
+use montecarlo::{BernoulliEstimate, Runner, Seed};
 
 fn main() {
     let n: usize = std::env::args()
@@ -26,26 +26,29 @@ fn main() {
     println!("{:<6} {:>12} {:>14} {:>12}", "model", "bug rate", "mean final x", "mean cycles");
     for model in MemoryModel::NAMED {
         let params = SimParams::for_model(model);
-        let stats = Runner::new(Seed(42)).fold(
-            trials,
-            || (0u64, 0i64, 0u64),
-            move |rng| {
-                let programs = increment_workload(n, filler, rng);
-                let mut machine = Machine::new(programs, params, rng);
-                let out = machine.run(rng).expect("quiesces");
-                (out.bug_manifested(), out.shared_value(), out.cycles())
-            },
-            |acc, (bug, x, cycles)| {
-                acc.0 += u64::from(bug);
-                acc.1 += x;
-                acc.2 += cycles;
-            },
-            |a, b| {
-                a.0 += b.0;
-                a.1 += b.1;
-                a.2 += b.2;
-            },
-        );
+        let stats = Runner::new(Seed(42))
+            .try_fold(
+                trials,
+                || (0u64, 0i64, 0u64),
+                move |rng| {
+                    let programs = increment_workload(n, filler, rng);
+                    let mut machine = Machine::new(programs, params, rng);
+                    let out = machine.run(rng).expect("quiesces");
+                    (out.bug_manifested(), out.shared_value(), out.cycles())
+                },
+                |acc, (bug, x, cycles)| {
+                    acc.0 += u64::from(bug);
+                    acc.1 += x;
+                    acc.2 += cycles;
+                },
+                |a, b| {
+                    a.0 += b.0;
+                    a.1 += b.1;
+                    a.2 += b.2;
+                },
+            )
+            .expect("panic-free simulation")
+            .value;
         println!(
             "{:<6} {:>12.4} {:>14.3} {:>12.1}",
             model.short_name(),
@@ -59,7 +62,7 @@ fn main() {
     println!("{:<6} {:>12}", "model", "bug rate");
     for model in [MemoryModel::Tso, MemoryModel::Wo] {
         let params = SimParams::for_model(model);
-        let est = Runner::new(Seed(43)).bernoulli(trials, move |rng| {
+        let est = Runner::new(Seed(43)).run::<BernoulliEstimate>(trials, move |rng| {
             let programs = increment_workload_fenced(n, filler, FenceKind::Full, rng);
             let mut machine = Machine::new(programs, params, rng);
             machine.run(rng).expect("quiesces").bug_manifested()

@@ -57,7 +57,7 @@ use memmodel::MemoryModel;
 use mmreliab::analytic::general::{GeneralWindowLaws, Params};
 use mmreliab::settle;
 use mmreliab::analytic::window_law::WindowLaws;
-use mmreliab::montecarlo::{task_rng, Runner, Seed};
+use mmreliab::montecarlo::{task_rng, BernoulliEstimate, Runner, Seed};
 use mmreliab::{ModelComparison, ProgramGenerator, ReliabilityModel};
 use textplot::{sparkline, BarChart, Chart, Heatmap, Table};
 
@@ -555,11 +555,14 @@ fn cmd_opsim(args: &Args) -> Result<(), mmreliab::Error> {
     for model in MemoryModel::NAMED {
         let params = SimParams::for_model(model);
         let n = args.threads;
-        let report = Runner::new(Seed(args.seed))
+        let (report, _) = Runner::new(Seed(args.seed))
             .with_threads(args.workers)
-            .try_bernoulli(args.trials, move |rng| {
-                run_increment_trial(n, 8, params, rng)
-            })?;
+            .try_run::<BernoulliEstimate, _>(
+            args.trials,
+            || (),
+            move |(), rng| run_increment_trial(n, 8, params, rng),
+            None,
+        )?;
         bars.bar(model.short_name(), report.value.point());
     }
     print!("{}", bars.render());

@@ -45,9 +45,9 @@ fn abstract_and_operational_sc_agree() {
     // The operational machine's SC bug rate equals the abstract 5/6 within
     // Monte-Carlo noise — the two substrates model the same process.
     use execsim::{run_increment_trial, SimParams};
-    use montecarlo::{Runner, Seed};
+    use montecarlo::{BernoulliEstimate, Runner, Seed};
     let params = SimParams::for_model(MemoryModel::Sc);
-    let est = Runner::new(Seed(4)).bernoulli(TRIALS / 4, move |rng| {
+    let est = Runner::new(Seed(4)).run::<BernoulliEstimate>(TRIALS / 4, move |rng| {
         run_increment_trial(2, 8, params, rng)
     });
     assert!(
@@ -59,14 +59,14 @@ fn abstract_and_operational_sc_agree() {
 
 #[test]
 fn fenced_settling_restores_sc_survival_under_wo() {
-    use montecarlo::{Runner, Seed};
+    use montecarlo::{BernoulliEstimate, Runner, Seed};
     use progmodel::ProgramGenerator;
     use settle::Settler;
     use shiftproc::ShiftProcess;
 
     let settler = Settler::for_model(MemoryModel::Wo);
     let gen = ProgramGenerator::new(32);
-    let est = Runner::new(Seed(5)).bernoulli(TRIALS / 2, move |rng| {
+    let est = Runner::new(Seed(5)).run::<BernoulliEstimate>(TRIALS / 2, move |rng| {
         let program = gen.generate(rng).with_acquire_before_critical();
         let windows: Vec<u64> = (0..2)
             .map(|_| settler.settle(&program, rng).window_len())
