@@ -187,6 +187,40 @@ assert counters.get("mc.cache.hits", 0) > 0, f"warm run produced no cache hits: 
 assert counters.get("mc.cache.errors", 0) == 0, f"cache errors on a healthy store: {counters}"
 print(f"cache smoke ok: {counters['mc.cache.hits']} hits, {counters.get('mc.cache.misses', 0)} misses")
 EOF2
+# Hostile cache directory: a stray `seg-.mmrs`, half a frame appended to
+# the last segment, and an index.mmri that also lists the absolute path
+# of an empty file outside the store (an empty file is what a segment
+# scan would adopt). The next warm run must still exit 0 with identical
+# results, count the damage in mc.cache.errors, and leave the outside
+# file byte-identical.
+: > "$CACHE_DIR/sentinel.txt"
+cp "$CACHE_DIR/sentinel.txt" "$CACHE_DIR/sentinel.orig"
+: > "$CACHE_DIR/store/seg-.mmrs"
+python3 - "$CACHE_DIR/store" "$CACHE_DIR/sentinel.txt" <<'EOF2'
+import json, os, sys
+store, sentinel = sys.argv[1:3]
+index_path = os.path.join(store, "index.mmri")
+index = json.load(open(index_path))
+segments = [os.path.join(store, name) for name in index["segments"]]
+frame = next(open(p, "rb").readline() for p in reversed(segments) if os.path.getsize(p) > 0)
+with open(segments[-1], "ab") as last:
+    last.write(frame[: len(frame) // 2])
+index["segments"].append(os.path.abspath(sentinel))
+with open(index_path, "w") as f:
+    json.dump(index, f)
+EOF2
+cargo run --release --offline -p mmr-bench --bin experiments -- \
+  --quick --seed 20110606 --cache "$CACHE_DIR/store" \
+  --json "$CACHE_DIR/hostile.json" --metrics "$CACHE_DIR/hostile_metrics.json" lem42 thm62
+grep -vE '"(elapsed_secs|threads|host_cores|trials_per_sec)":' "$CACHE_DIR/hostile.json" > "$CACHE_DIR/hostile.stripped"
+diff "$CACHE_DIR/cold.stripped" "$CACHE_DIR/hostile.stripped"
+cmp "$CACHE_DIR/sentinel.orig" "$CACHE_DIR/sentinel.txt"
+python3 - "$CACHE_DIR/hostile_metrics.json" <<'EOF2'
+import json, sys
+counters = {c["name"]: c["value"] for c in json.load(open(sys.argv[1]))["counters"]}
+assert counters.get("mc.cache.errors", 0) >= 1, f"hostile cache dir counted no errors: {counters}"
+print(f"hostile cache smoke ok: {counters['mc.cache.errors']} error(s), {counters.get('mc.cache.hits', 0)} hits")
+EOF2
 CACHE_RC=0
 cargo run --release --offline -p mmr-bench --bin experiments -- \
   --quick --seed 20110606 --cache "$CACHE_DIR/cold.json/not-a-dir" \

@@ -57,51 +57,20 @@ pub fn inspect(path: &Path, diff: Option<&Path>) -> Result<String, String> {
     ))
 }
 
-/// Parses one flight log leniently: the valid prefix plus a note about
-/// anything truncated or skipped.
-fn parse_flight(path: &Path, bytes: &[u8]) -> Result<(obs::flight::ParsedLog, String), String> {
-    let text = String::from_utf8_lossy(bytes);
-    let parsed = obs::flight::parse_log(&text);
-    let mut notes = String::new();
-    if parsed.torn {
-        let _ = writeln!(
-            notes,
-            "note: torn tail truncated after {} valid events ({})",
-            parsed.events.len(),
-            path.display()
-        );
-    }
-    if parsed.skipped > 0 {
-        let _ = writeln!(
-            notes,
-            "note: {} well-framed line(s) of an unknown version skipped",
-            parsed.skipped
-        );
-    }
-    Ok((parsed, notes))
-}
-
 fn inspect_flight(path: &Path, bytes: &[u8], diff: Option<&Path>) -> Result<String, String> {
-    let (parsed, notes) = parse_flight(path, bytes)?;
-    let mut out = notes;
-    out.push_str(&obs::flight::render_timeline(&parsed.events));
-    out.push_str(&obs::flight::render_histogram(&parsed.events));
-    out.push_str(&obs::flight::render_convergence(&parsed.events));
-    if let Some(other) = diff {
-        let other_bytes = std::fs::read(other)
-            .map_err(|e| format!("cannot read {}: {e}", other.display()))?;
-        if !other_bytes.starts_with(b"MMRE") {
-            return Err(format!("{}: not a flight event log", other.display()));
+    let other = match diff {
+        Some(other) => {
+            let other_bytes = std::fs::read(other)
+                .map_err(|e| format!("cannot read {}: {e}", other.display()))?;
+            if !other_bytes.starts_with(b"MMRE") {
+                return Err(format!("{}: not a flight event log", other.display()));
+            }
+            Some((other, other_bytes))
         }
-        let (other_parsed, other_notes) = parse_flight(other, &other_bytes)?;
-        out.push_str(&other_notes);
-        let _ = writeln!(out, "diff vs {}:", other.display());
-        out.push_str(&obs::flight::diff_logs(&parsed.events, &other_parsed.events).render());
-        out.push_str(
-            &obs::flight::diff_trajectories(&parsed.events, &other_parsed.events).render(),
-        );
-    }
-    Ok(out)
+        None => None,
+    };
+    let other = other.as_ref().map(|(p, b)| (*p, b.as_slice()));
+    Ok(obs::flight::render_report(path, bytes, other))
 }
 
 fn inspect_dossier(path: &Path, bytes: &[u8]) -> Result<String, String> {
@@ -196,9 +165,18 @@ fn inspect_cache_dir(dir: &Path, segments: &[&String], indexed: bool) -> Result<
     for name in segments {
         let bytes = std::fs::read(dir.join(name.as_str()))
             .map_err(|e| format!("cannot read {name}: {e}"))?;
-        let scan = scan_segment(&bytes);
-        total += scan.records;
-        for key in scan.keys {
+        // A generic frame walk: `put` records counted, each one's content
+        // address pulled out of the JSON textually, so the census needs no
+        // knowledge of (and stays robust to changes in) the entry schema.
+        let scan = obs::framelog::scan(obs::framelog::SEGMENT, &bytes);
+        let puts: Vec<&str> = scan
+            .frames
+            .iter()
+            .filter(|f| f.kind == "put")
+            .map(|f| f.json)
+            .collect();
+        total += puts.len();
+        for key in puts.iter().filter_map(|json| json_string_field(json, "key")) {
             if !live.contains(&key) {
                 live.push(key);
             }
@@ -206,7 +184,7 @@ fn inspect_cache_dir(dir: &Path, segments: &[&String], indexed: bool) -> Result<
         let _ = writeln!(
             out,
             "  {name}: {} record(s), {} byte(s){}",
-            scan.records,
+            puts.len(),
             bytes.len(),
             if scan.torn { ", TORN TAIL" } else { "" }
         );
@@ -216,60 +194,6 @@ fn inspect_cache_dir(dir: &Path, segments: &[&String], indexed: bool) -> Result<
         let _ = writeln!(out, "  {key}");
     }
     Ok(out)
-}
-
-/// What a read-only segment scan saw.
-struct SegmentScan {
-    records: usize,
-    torn: bool,
-    keys: Vec<String>,
-}
-
-/// Generic `MMRS` frame walk: counts CRC-valid records and pulls each
-/// record's content address out of the JSON textually, so the census
-/// needs no knowledge of (and stays robust to changes in) the cache's
-/// entry schema.
-fn scan_segment(bytes: &[u8]) -> SegmentScan {
-    let mut out = SegmentScan {
-        records: 0,
-        torn: false,
-        keys: Vec::new(),
-    };
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            out.torn = true;
-            break;
-        };
-        let Ok(line) = std::str::from_utf8(&bytes[offset..offset + nl]) else {
-            out.torn = true;
-            break;
-        };
-        let mut parts = line.splitn(5, ' ');
-        let (tag, ver, kind, crc_hex, json) = (
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-        );
-        let framed = tag == "MMRS"
-            && u32::from_str_radix(crc_hex, 16).is_ok_and(|crc| {
-                crc == obs::flight::crc32(format!("{ver} {kind} {json}").as_bytes())
-            });
-        if !framed {
-            out.torn = true;
-            break;
-        }
-        if kind == "put" {
-            out.records += 1;
-            if let Some(key) = json_string_field(json, "key") {
-                out.keys.push(key);
-            }
-        }
-        offset += nl + 1;
-    }
-    out
 }
 
 /// Extracts the first `"field":"..."` string value from compact JSON
@@ -302,7 +226,7 @@ mod tests {
             "{{\"seq\":{seq},\"t_us\":{},\"tid\":1,\"kind\":\"{kind}\"{detail_json}}}",
             seq * 50
         );
-        let crc = obs::flight::crc32(format!("1 {json}").as_bytes());
+        let crc = obs::framelog::crc32(format!("1 {json}").as_bytes());
         format!("MMRE 1 {crc:08x} {json}\n")
     }
 

@@ -1,14 +1,8 @@
 //! Crash-safe checkpoint journal: append-only, CRC-framed, torn-tail
 //! tolerant.
 //!
-//! A journal is a UTF-8 text file of one framed record per line:
-//!
-//! ```text
-//! MMRJ <version> <kind> <crc32-8hex> <compact-json>\n
-//! ```
-//!
-//! where the CRC-32 (reflected, polynomial `0xEDB88320`) covers
-//! `"<version> <kind> <compact-json>"`. The first record is a `ctx` line
+//! A journal is an [`obs::framelog`] log of the `MMRJ` format, one framed
+//! record per line. The first record is a `ctx` line
 //! capturing the run context ([`CtxRecord`]); each completed experiment
 //! appends one `exp` line ([`crate::ExperimentResult`] JSON). Records are
 //! only ever appended, so a crash — including kill -9 mid-write — can
@@ -25,13 +19,13 @@
 //! leading `{` and converted in place on open.
 
 use crate::{checkpoint, Ctx, Error, ExperimentResult, RunResult};
-use obs::flight::crc32;
+use obs::framelog::{self, JOURNAL};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Frame tag opening every journal line.
-const TAG: &str = "MMRJ";
+const TAG: &str = JOURNAL.tag;
 
 /// Journal format version written by this build.
 pub const VERSION: u32 = 1;
@@ -52,87 +46,57 @@ pub struct CtxRecord {
 
 /// Frames one record as a journal line (with trailing newline).
 fn frame(kind: &str, json: &str) -> String {
-    let crc = crc32(format!("{VERSION} {kind} {json}").as_bytes());
-    format!("{TAG} {VERSION} {kind} {crc:08x} {json}\n")
+    framelog::frame(JOURNAL, VERSION, kind, json)
 }
 
-/// What a journal scan recovered.
-struct Scan {
-    /// Byte length of the valid prefix (everything past it is torn).
-    good_len: usize,
-    /// True when bytes past `good_len` had to be discarded.
-    torn: bool,
-    ctx: Option<CtxRecord>,
-    experiments: Vec<ExperimentResult>,
-}
-
-/// Scans journal bytes, keeping the longest valid prefix. Torn or
-/// unframeable data ends the scan (everything from there is the tail);
-/// valid-CRC records of unknown version/kind are skipped.
+/// Reads the run the longest valid prefix of journal bytes holds (`None`
+/// without a `ctx` record), and whether a torn tail follows that prefix.
+/// Valid-CRC records of unknown version/kind are skipped.
 ///
 /// # Errors
 ///
 /// [`Error::BadCheckpoint`] when a CRC-valid current-version record
 /// carries unparseable JSON — the frame vouched for these bytes, so this
 /// is real corruption (or a bug), not a torn write.
-fn scan(path: &Path, bytes: &[u8]) -> Result<Scan, Error> {
+fn scan(path: &Path, bytes: &[u8]) -> Result<(Option<RunResult>, bool), Error> {
     let bad = |detail: String| Error::BadCheckpoint {
         path: path.to_path_buf(),
         detail,
     };
-    let mut out = Scan {
-        good_len: 0,
-        torn: false,
-        ctx: None,
-        experiments: Vec::new(),
-    };
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            // No trailing newline: an append died mid-line.
-            out.torn = true;
-            break;
-        };
-        let Ok(line) = std::str::from_utf8(&bytes[offset..offset + nl]) else {
-            out.torn = true;
-            break;
-        };
-        let mut parts = line.splitn(5, ' ');
-        let (tag, ver, kind, crc_hex, json) = (
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-        );
-        let framed = tag == TAG
-            && u32::from_str_radix(crc_hex, 16)
-                .is_ok_and(|crc| crc == crc32(format!("{ver} {kind} {json}").as_bytes()));
-        if !framed {
-            out.torn = true;
-            break;
-        }
-        // The frame checks out; the line is authentic. Unknown versions
-        // and kinds are other builds' records — tolerated, skipped.
-        if ver.parse::<u32>().is_ok_and(|v| v == VERSION) {
-            match kind {
-                "ctx" => {
-                    let rec: CtxRecord = serde_json::from_str(json)
-                        .map_err(|e| bad(format!("CRC-valid ctx record with bad JSON: {e}")))?;
-                    out.ctx.get_or_insert(rec);
-                }
-                "exp" => {
-                    let rec: ExperimentResult = serde_json::from_str(json)
-                        .map_err(|e| bad(format!("CRC-valid exp record with bad JSON: {e}")))?;
-                    out.experiments.push(rec);
-                }
-                _ => {}
+    let log = framelog::scan(JOURNAL, bytes);
+    let mut ctx: Option<CtxRecord> = None;
+    let mut experiments = Vec::new();
+    // The frame checks out; the line is authentic. Unknown versions and
+    // kinds are other builds' records — tolerated, skipped.
+    for f in log.frames.iter().filter(|f| f.version.parse::<u32>().is_ok_and(|v| v == VERSION)) {
+        match f.kind {
+            "ctx" => {
+                let rec: CtxRecord = serde_json::from_str(f.json)
+                    .map_err(|e| bad(format!("CRC-valid ctx record with bad JSON: {e}")))?;
+                ctx.get_or_insert(rec);
             }
+            "exp" => experiments.push(
+                serde_json::from_str(f.json)
+                    .map_err(|e| bad(format!("CRC-valid exp record with bad JSON: {e}")))?,
+            ),
+            _ => {}
         }
-        offset += nl + 1;
-        out.good_len = offset;
     }
-    Ok(out)
+    let run = ctx.map(|c| RunResult {
+        trials: c.trials,
+        seed: c.seed,
+        threads: c.threads,
+        host_cores: c.host_cores,
+        experiments,
+    });
+    Ok((run, log.torn))
+}
+
+/// Counts one torn tail of `cut` bytes cut off a journal.
+fn note_torn_tail(cut: u64) {
+    obs::global().counter("mc.journal.torn_tails").inc();
+    montecarlo::fault::ledger().note_journal_torn_tail();
+    obs::flight::event("journal_torn_tail").n(cut).emit();
 }
 
 /// Renders the journal content for a context and a list of completed
@@ -177,23 +141,13 @@ pub(crate) fn parse(path: &Path, bytes: &[u8]) -> Result<Option<RunResult>, Erro
             .map(Some)
             .map_err(|e| bad(e.to_string()));
     }
-    if !bytes.starts_with(TAG.as_bytes()) {
+    if !JOURNAL.claims(bytes) {
         return Err(Error::BadCheckpoint {
             path: path.to_path_buf(),
             detail: format!("neither a {TAG} journal nor a JSON checkpoint"),
         });
     }
-    let scan = scan(path, bytes)?;
-    let Some(ctx) = scan.ctx else {
-        return Ok(None);
-    };
-    Ok(Some(RunResult {
-        trials: ctx.trials,
-        seed: ctx.seed,
-        threads: ctx.threads,
-        host_cores: ctx.host_cores,
-        experiments: scan.experiments,
-    }))
+    Ok(scan(path, bytes)?.0)
 }
 
 /// An open, resumable checkpoint journal.
@@ -231,7 +185,7 @@ impl Journal {
             path: path.to_path_buf(),
             source,
         };
-        let bytes = match std::fs::read(path) {
+        let mut bytes = match std::fs::read(path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(source) => return Err(io(source)),
@@ -245,36 +199,25 @@ impl Journal {
             host_cores: crate::default_threads(),
         };
         if !bytes.is_empty() {
-            let mut prev = None;
-            if bytes.starts_with(b"{") || !bytes.starts_with(TAG.as_bytes()) {
+            let prev = if !JOURNAL.claims(&bytes) {
                 // Legacy JSON (or garbage, which parse rejects as
                 // BadCheckpoint before we touch the file).
-                prev = parse(path, &bytes)?;
+                parse(path, &bytes)?
             } else {
-                let scan = scan(path, &bytes)?;
-                if scan.torn {
-                    obs::global().counter("mc.journal.torn_tails").inc();
-                    montecarlo::fault::ledger().note_journal_torn_tail();
-                    obs::flight::event("journal_torn_tail")
-                        .n((bytes.len() - scan.good_len) as u64)
-                        .emit();
+                let (run, torn) = scan(path, &bytes)?;
+                if torn {
+                    let repair = framelog::repair(path, JOURNAL).map_err(io)?;
+                    note_torn_tail(repair.cut);
                     obs::info!(
                         "checkpoint {}: truncated torn tail ({} of {} bytes kept)",
                         path.display(),
-                        scan.good_len,
+                        repair.kept,
                         bytes.len()
                     );
+                    bytes.truncate(repair.kept as usize);
                 }
-                if let Some(rec) = scan.ctx {
-                    prev = Some(RunResult {
-                        trials: rec.trials,
-                        seed: rec.seed,
-                        threads: rec.threads,
-                        host_cores: rec.host_cores,
-                        experiments: scan.experiments,
-                    });
-                }
-            }
+                run
+            };
             if let Some(prev) = prev {
                 if checkpoint::matches_ctx(&prev, ctx) {
                     experiments = prev.experiments;
@@ -320,8 +263,9 @@ impl Journal {
     ///
     /// Under an installed chaos plan this record's write may be torn: a
     /// partial frame is flushed first, then the *real* recovery path
-    /// (rescan, truncate, count) runs before the full record is appended —
-    /// so every chaos run exercises exactly the code a kill -9 relies on.
+    /// ([`framelog::tear`]: rescan, truncate; then count) runs before the
+    /// full record is appended — so every chaos run exercises exactly the
+    /// code a kill -9 relies on.
     ///
     /// # Errors
     ///
@@ -341,11 +285,11 @@ impl Journal {
             if plan.torn_write(record_no) {
                 montecarlo::fault::ledger().note_injected_torn_write();
                 obs::flight::event("fault_fired").n(record_no).detail("torn_write").emit();
-                // Tear the write: flush a partial frame, then recover it.
-                let partial = &line.as_bytes()[..line.len() * 2 / 3];
-                self.file.write_all(partial).map_err(io(&self.path))?;
-                let _ = self.file.sync_data();
-                self.recover_torn_tail()?;
+                let repair = framelog::tear(&mut self.file, &self.path, JOURNAL, &line)
+                    .map_err(io(&self.path))?;
+                if repair.cut > 0 {
+                    note_torn_tail(repair.cut);
+                }
             }
         }
         self.file.write_all(line.as_bytes()).map_err(io(&self.path))?;
@@ -355,35 +299,13 @@ impl Journal {
         self.experiments.push(result.clone());
         Ok(())
     }
-
-    /// Re-scans the file and truncates whatever invalid tail follows the
-    /// valid prefix — the same recovery [`open`](Journal::open) performs,
-    /// run in-process after an injected torn write.
-    fn recover_torn_tail(&mut self) -> Result<(), Error> {
-        let io = |source: std::io::Error| Error::Io {
-            path: self.path.clone(),
-            source,
-        };
-        let bytes = std::fs::read(&self.path).map_err(io)?;
-        let scan = scan(&self.path, &bytes)?;
-        if scan.torn {
-            // The handle is in append mode, so later writes land at the
-            // new, truncated end.
-            self.file.set_len(scan.good_len as u64).map_err(io)?;
-            obs::global().counter("mc.journal.torn_tails").inc();
-            montecarlo::fault::ledger().note_journal_torn_tail();
-            obs::flight::event("journal_torn_tail")
-                .n((bytes.len() - scan.good_len) as u64)
-                .emit();
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use montecarlo::fault;
+    use obs::framelog::crc32;
 
     /// The fault ledger is process-global, so tests asserting exact
     /// ledger deltas (or installing plans) serialize on this lock.

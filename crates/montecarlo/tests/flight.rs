@@ -210,3 +210,40 @@ fn mirrored_log_recovers_its_valid_prefix_after_a_torn_tail() {
     assert!(parsed.events.len() < full.events.len());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn remirroring_onto_a_torn_log_keeps_the_new_run_readable() {
+    let _lock = flight_lock();
+    let _flight = FlightGuard;
+    fault::clear();
+    let dir = tmp_dir("remirror");
+    let mirror = dir.join("events.flight");
+
+    obs::flight::mirror_to(&mirror).unwrap();
+    let _ = checksum_run(1);
+    obs::flight::unmirror();
+    let intact = std::fs::read_to_string(&mirror).unwrap();
+    let first = obs::flight::parse_log(&intact);
+    assert!(!first.torn);
+    assert!(!first.events.is_empty());
+
+    // Kill -9 mid-append: half a frame after the valid prefix.
+    let first_line = intact.find('\n').unwrap() + 1;
+    let mut file = std::fs::OpenOptions::new().append(true).open(&mirror).unwrap();
+    std::io::Write::write_all(&mut file, &intact.as_bytes()[..first_line / 2]).unwrap();
+    drop(file);
+
+    // The next run mirrors to the same log.
+    obs::flight::clear();
+    obs::flight::mirror_to(&mirror).unwrap();
+    let _ = checksum_run(2);
+    obs::flight::unmirror();
+    let second = obs::flight::events();
+    assert!(second.iter().any(|e| e.kind == "run_end"));
+
+    let parsed = obs::flight::parse_log(&std::fs::read_to_string(&mirror).unwrap());
+    assert!(!parsed.torn, "the torn tail was repaired before appending");
+    let expected: Vec<_> = first.events.iter().chain(&second).cloned().collect();
+    assert_eq!(parsed.events, expected, "the first run's prefix, then all of the second run");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -37,10 +37,10 @@
 //! # On-disk framing
 //!
 //! [`mirror_to`] appends each event as one `MMRE 1 <crc:08x> <json>` line
-//! — the PR 6/PR 8 framing discipline: the CRC32 (zlib polynomial) covers
-//! `"<version> <json>"`, a torn tail truncates to the longest valid
-//! prefix on read ([`parse_log`]), and well-framed lines of an unknown
-//! version are skipped, not fatal.
+//! of the [`framelog`](crate::framelog) format (no kind field), after
+//! repairing any torn tail. [`parse_log`] keeps the longest valid prefix,
+//! skips lines of an unknown version, and stops at a CRC-valid line whose
+//! JSON is not an event.
 //!
 //! # Crash dossiers
 //!
@@ -51,6 +51,7 @@
 //! harness call it on panic, degradation, and deadline truncation so any
 //! failed run is post-mortem-debuggable from artifacts alone.
 
+use crate::framelog;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -236,14 +237,19 @@ pub fn clear() {
 }
 
 /// Mirrors every subsequent event to `path` as CRC-framed `MMRE` lines
-/// (appending; an existing log grows). Returns the open error if the
-/// path is unusable — callers degrade to ring-only recording.
+/// (appending; an existing log grows). A torn tail a killed run left is
+/// cut off first: appended after it, the first new frame would fuse with
+/// the partial line and hide the whole new run from [`parse_log`].
+/// Returns the error if the path is unusable — callers degrade to
+/// ring-only recording.
 ///
 /// # Errors
 ///
-/// Any error opening `path` for append.
+/// Any error opening `path` for append or repairing it, including an
+/// existing file that is not a flight log (left untouched).
 pub fn mirror_to(path: &Path) -> std::io::Result<()> {
     let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+    framelog::repair(path, framelog::FLIGHT)?;
     let mut guard = MIRROR_SINK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -277,15 +283,12 @@ pub fn unmirror() {
     }
 }
 
-/// Frame tag opening every flight-log line.
-const TAG: &str = "MMRE";
 /// Flight-log frame version.
-const VERSION: u32 = 1;
+const VERSION: &str = "1";
 
 /// Frames one serialized event as an `MMRE` line (with trailing newline).
 fn frame(json: &str) -> String {
-    let crc = crc32(format!("{VERSION} {json}").as_bytes());
-    format!("{TAG} {VERSION} {crc:08x} {json}\n")
+    framelog::frame(framelog::FLIGHT, VERSION, "", json)
 }
 
 /// Frames one event as its on-disk/on-wire `MMRE` line — what the disk
@@ -294,23 +297,6 @@ fn frame(json: &str) -> String {
 #[must_use]
 pub(crate) fn frame_line(ev: &FlightEvent) -> Option<String> {
     serde_json::to_string(ev).ok().map(|json| frame(&json))
-}
-
-/// CRC-32 (zlib polynomial, reflected, init/xorout `0xFFFFFFFF`), so
-/// frames are checkable with any standard tool. The one checksum of every
-/// framed log in the workspace: flight logs here, and the checkpoint
-/// journal and cache segments, which import it.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// What [`parse_log`] recovered from a flight log.
@@ -326,63 +312,30 @@ pub struct ParsedLog {
 
 /// Parses a flight log: keeps the longest prefix of CRC-valid `MMRE`
 /// lines, skips well-framed lines of an unknown version, and truncates
-/// at the first torn or corrupt line (`torn` reports that).
+/// at the first torn or corrupt line (`torn` reports that). A CRC-valid
+/// line whose JSON is not an event counts as corrupt.
 #[must_use]
 pub fn parse_log(text: &str) -> ParsedLog {
+    let scan = framelog::scan(framelog::FLIGHT, text.as_bytes());
     let mut parsed = ParsedLog {
-        events: Vec::new(),
-        torn: false,
+        events: Vec::with_capacity(scan.frames.len()),
+        torn: scan.torn,
         skipped: 0,
     };
-    let mut rest = text;
-    while !rest.is_empty() {
-        let Some((line, tail)) = rest.split_once('\n') else {
-            // Data without a terminating newline is a torn write.
-            parsed.torn = true;
-            return parsed;
-        };
-        match parse_line(line) {
-            Line::Event(ev) => parsed.events.push(ev),
-            Line::UnknownVersion => parsed.skipped += 1,
-            Line::Torn => {
+    for frame in scan.frames {
+        if frame.version != VERSION {
+            parsed.skipped += 1;
+            continue;
+        }
+        match serde_json::from_str::<FlightEvent>(frame.json) {
+            Ok(ev) => parsed.events.push(ev),
+            Err(_) => {
                 parsed.torn = true;
-                return parsed;
+                break;
             }
         }
-        rest = tail;
     }
     parsed
-}
-
-enum Line {
-    Event(FlightEvent),
-    UnknownVersion,
-    Torn,
-}
-
-fn parse_line(line: &str) -> Line {
-    let Some(rest) = line.strip_prefix("MMRE ") else {
-        return Line::Torn;
-    };
-    let Some((version, rest)) = rest.split_once(' ') else {
-        return Line::Torn;
-    };
-    let Some((crc_hex, json)) = rest.split_once(' ') else {
-        return Line::Torn;
-    };
-    let Ok(expected) = u32::from_str_radix(crc_hex, 16) else {
-        return Line::Torn;
-    };
-    if crc32(format!("{version} {json}").as_bytes()) != expected {
-        return Line::Torn;
-    }
-    if version != "1" {
-        return Line::UnknownVersion;
-    }
-    match serde_json::from_str::<FlightEvent>(json) {
-        Ok(ev) => Line::Event(ev),
-        Err(_) => Line::Torn,
-    }
 }
 
 /// The canonical key of the request currently being served, published by
@@ -807,6 +760,48 @@ impl LogDiff {
     }
 }
 
+/// Renders the `inspect` report of a flight log: notes on a torn tail or
+/// skipped lines, the timeline, the event histogram and the convergence
+/// trajectory; with `diff`, then the comparison against a second log.
+#[must_use]
+pub fn render_report(path: &Path, bytes: &[u8], diff: Option<(&Path, &[u8])>) -> String {
+    let (events, mut out) = parse_noted(path, bytes);
+    out.push_str(&render_timeline(&events));
+    out.push_str(&render_histogram(&events));
+    out.push_str(&render_convergence(&events));
+    if let Some((other, other_bytes)) = diff {
+        let (other_events, notes) = parse_noted(other, other_bytes);
+        out.push_str(&notes);
+        let _ = writeln!(out, "diff vs {}:", other.display());
+        out.push_str(&diff_logs(&events, &other_events).render());
+        out.push_str(&diff_trajectories(&events, &other_events).render());
+    }
+    out
+}
+
+/// Parses a flight log leniently: the events of its valid prefix, plus
+/// notes on anything truncated or skipped.
+fn parse_noted(path: &Path, bytes: &[u8]) -> (Vec<FlightEvent>, String) {
+    let parsed = parse_log(&String::from_utf8_lossy(bytes));
+    let mut notes = String::new();
+    if parsed.torn {
+        let _ = writeln!(
+            notes,
+            "note: torn tail truncated after {} valid events ({})",
+            parsed.events.len(),
+            path.display()
+        );
+    }
+    if parsed.skipped > 0 {
+        let _ = writeln!(
+            notes,
+            "note: {} well-framed line(s) of an unknown version skipped",
+            parsed.skipped
+        );
+    }
+    (parsed.events, notes)
+}
+
 /// Renders a [`Dossier`] for the `inspect` command.
 #[must_use]
 pub fn render_dossier(d: &Dossier) -> String {
@@ -849,6 +844,7 @@ pub fn render_dossier(d: &Dossier) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framelog::crc32;
 
     fn ev(seq: u64, kind: &str) -> FlightEvent {
         FlightEvent {
@@ -862,12 +858,6 @@ mod tests {
             value: None,
             detail: None,
         }
-    }
-
-    #[test]
-    fn crc32_matches_the_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

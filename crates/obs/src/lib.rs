@@ -39,6 +39,7 @@ pub mod bus;
 pub mod degrade;
 pub mod export;
 pub mod flight;
+pub mod framelog;
 pub mod log;
 mod metrics;
 pub mod progress;

@@ -34,6 +34,10 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// How long an `/events` streamer waits on its queue before re-checking
 /// the shutdown flag.
 const EVENTS_POLL: Duration = Duration::from_millis(250);
+/// Longest request line read, newline included. The read timeout is per
+/// read, so without a cap a client that never sends a newline would grow
+/// the line without bound.
+const MAX_REQUEST_LINE: usize = 8 * 1024;
 
 fn serve_connections() -> &'static crate::Counter {
     static C: std::sync::OnceLock<crate::Counter> = std::sync::OnceLock::new();
@@ -138,18 +142,30 @@ fn request_path(line: &str) -> Option<String> {
     }
 }
 
+/// Reads the request line, at most [`MAX_REQUEST_LINE`] bytes of it.
+/// `Ok(None)` for a line that is over-long or not UTF-8.
+///
+/// # Errors
+///
+/// Any read error (the connection is dropped unanswered).
+fn read_request_line(reader: impl BufRead) -> std::io::Result<Option<String>> {
+    let mut line = Vec::new();
+    reader.take(MAX_REQUEST_LINE as u64).read_until(b'\n', &mut line)?;
+    let whole = line.len() < MAX_REQUEST_LINE || line.ends_with(b"\n");
+    Ok(String::from_utf8(line).ok().filter(|_| whole))
+}
+
 fn handle_connection(stream: TcpStream, stop: &Arc<AtomicBool>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
+    let reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
+    let Ok(line) = read_request_line(reader) else {
         return;
-    }
-    match request_path(&line).as_deref() {
+    };
+    match line.as_deref().and_then(request_path).as_deref() {
         Some("/metrics") => {
             let body = crate::export::prometheus(&crate::snapshot());
             respond(stream, "200 OK", "text/plain; version=0.0.4", &body);
@@ -447,6 +463,47 @@ mod tests {
         assert!(request_path("POST / HTTP/1.0").is_none());
         assert!(request_path("").is_none());
         assert_eq!(request_path("GET /x HTTP/1.1").as_deref(), Some("/x"));
+    }
+
+    #[test]
+    fn overlong_request_line_is_400_and_stops_reading_at_the_cap() {
+        let _g = crate::test_ring_lock();
+        let server = serve("127.0.0.1:0").expect("bind");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        // A full cap and no newline: the reader must stop there and answer
+        // instead of waiting for a newline that never comes.
+        stream.write_all(b"GET /").expect("request");
+        stream.write_all(&[b'a'; MAX_REQUEST_LINE - 5]).expect("request");
+        let mut text = String::new();
+        use std::io::Read as _;
+        stream.read_to_string(&mut text).expect("response");
+        assert!(text.starts_with("HTTP/1.0 400"), "{text}");
+
+        let line = [b"GET /\xff HTTP/1.0\r\n".as_slice(), b"\r\n"].concat();
+        assert_eq!(read_request_line(line.as_slice()).unwrap(), None, "non-UTF-8");
+        let exact = [b"GET /".as_slice(), &[b'a'; MAX_REQUEST_LINE - 6], b"\n"].concat();
+        assert_eq!(exact.len(), MAX_REQUEST_LINE);
+        let fits = read_request_line(exact.as_slice()).unwrap();
+        assert!(fits.is_some(), "a line of exactly the cap fits");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn request_reader_never_panics_or_exceeds_the_cap(
+            head in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64usize),
+            fill in 0usize..3 * MAX_REQUEST_LINE,
+            byte in proptest::prelude::any::<u8>(),
+            get in proptest::prelude::any::<bool>(),
+        ) {
+            let prefix: &[u8] = if get { b"GET /" } else { b"" };
+            let bytes = [prefix, &head, &vec![byte; fill]].concat();
+            if let Some(line) = read_request_line(bytes.as_slice()).unwrap() {
+                proptest::prop_assert!(line.len() <= MAX_REQUEST_LINE);
+                if let Some(path) = request_path(&line) {
+                    proptest::prop_assert!(path.len() < MAX_REQUEST_LINE);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,38 +1,34 @@
 //! The on-disk cache tier: append-only CRC-framed segments plus an
 //! atomically-rewritten index.
 //!
-//! Segments reuse the checkpoint journal's frame format (one record per
-//! line):
-//!
-//! ```text
-//! MMRS <version> <kind> <crc32-8hex> <compact-json>\n
-//! ```
-//!
-//! with the CRC-32 (reflected, polynomial `0xEDB88320`) covering
-//! `"<version> <kind> <compact-json>"`. Each `put` record carries a
-//! [`crate::Entry`] wrapped with its 32-hex content address; later records
-//! for the same key win. The index file (`index.mmri`) lists the live
-//! segments in order and is only ever replaced atomically (tmp + rename),
-//! so a crash mid-compaction leaves either the old or the new view, never
-//! a mix.
+//! Segments are [`obs::framelog`] logs of the `MMRS` format, one record
+//! per line. Each `put` record carries a [`crate::Entry`] wrapped with its
+//! 32-hex content address; later records for the same key win. The index
+//! file (`index.mmri`) lists the live segments in order and is only ever
+//! replaced atomically (tmp + rename), so a crash mid-compaction leaves
+//! either the old or the new view, never a mix. Only plain
+//! `seg-<decimal>.mmrs` names count as segments, whether the index lists
+//! them or the directory holds them: anything else is counted and never
+//! opened, so no index can make the tier write outside its directory.
 //!
 //! Recovery policy differs from the journal in one deliberate way: cache
 //! data is *disposable*. A torn tail is truncated (normal crash recovery,
 //! not an error); a file that is not a segment at all is skipped whole
 //! with `mc.cache.errors` counted; and a CRC-valid record whose JSON fails
 //! to parse is *skipped* and counted, not fatal — losing a cache record
-//! costs a recompute, never correctness.
+//! costs a recompute, never correctness. Records of an unknown version or
+//! kind are skipped silently.
 
 use crate::acc::Entry;
-use obs::flight::crc32;
+use obs::framelog::{self, Frame, SEGMENT};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Frame tag opening every segment line.
-const TAG: &str = "MMRS";
+const TAG: &str = SEGMENT.tag;
 
 /// Segment format version written by this build.
 pub const VERSION: u32 = 1;
@@ -42,8 +38,23 @@ pub(crate) const DEFAULT_ROLL_BYTES: u64 = 4 << 20;
 
 /// Frames one record as a segment line (with trailing newline).
 fn frame(kind: &str, json: &str) -> String {
-    let crc = crc32(format!("{VERSION} {kind} {json}").as_bytes());
-    format!("{TAG} {VERSION} {kind} {crc:08x} {json}\n")
+    framelog::frame(SEGMENT, VERSION, kind, json)
+}
+
+/// Whether a frame is a `put` record of this version — the only records
+/// the tier reads; the rest are other builds' and skipped silently.
+fn is_put(frame: &Frame<'_>) -> bool {
+    frame.kind == "put" && frame.version.parse::<u32>().is_ok_and(|v| v == VERSION)
+}
+
+/// The generation of a segment file name. `Some` only for plain
+/// `seg-<decimal>.mmrs` names, which cannot point outside the directory.
+fn seg_generation(name: &str) -> Option<u64> {
+    let digits = name.strip_prefix("seg-")?.strip_suffix(".mmrs")?;
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
 }
 
 /// One framed cache record: the content address plus the entry it names.
@@ -61,89 +72,6 @@ struct RecordLoc {
     seg: usize,
     offset: u64,
     len: u64,
-}
-
-/// One record recovered by a segment scan.
-struct ScannedRecord {
-    key: String,
-    offset: u64,
-    len: u64,
-    entry: Entry,
-}
-
-/// What scanning one segment file recovered.
-struct SegScan {
-    /// Byte length of the valid prefix (everything past it is torn).
-    good_len: u64,
-    /// True when bytes past `good_len` had to be discarded.
-    torn: bool,
-    /// CRC-valid current-version records whose JSON would not parse.
-    bad_records: u64,
-    records: Vec<ScannedRecord>,
-}
-
-/// Scans segment bytes, keeping the longest framed prefix. Unframed data
-/// ends the scan (torn tail); CRC-valid records of unknown version or
-/// kind are skipped silently; CRC-valid `put` records with unparseable
-/// JSON are skipped and counted.
-fn scan(bytes: &[u8]) -> SegScan {
-    let mut out = SegScan {
-        good_len: 0,
-        torn: false,
-        bad_records: 0,
-        records: Vec::new(),
-    };
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            out.torn = true;
-            break;
-        };
-        let Ok(line) = std::str::from_utf8(&bytes[offset..offset + nl]) else {
-            out.torn = true;
-            break;
-        };
-        let mut parts = line.splitn(5, ' ');
-        let (tag, ver, kind, crc_hex, json) = (
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-            parts.next().unwrap_or(""),
-        );
-        let framed = tag == TAG
-            && u32::from_str_radix(crc_hex, 16)
-                .is_ok_and(|crc| crc == crc32(format!("{ver} {kind} {json}").as_bytes()));
-        if !framed {
-            out.torn = true;
-            break;
-        }
-        if ver.parse::<u32>().is_ok_and(|v| v == VERSION) && kind == "put" {
-            match serde_json::from_str::<PutRecord>(json) {
-                Ok(rec) => out.records.push(ScannedRecord {
-                    key: rec.key,
-                    offset: offset as u64,
-                    len: (nl + 1) as u64,
-                    entry: rec.entry,
-                }),
-                // The frame vouched for the bytes but the schema moved on
-                // (or a bug wrote nonsense). Cache records are disposable:
-                // drop this one, keep the rest.
-                Err(_) => out.bad_records += 1,
-            }
-        }
-        offset += nl + 1;
-        out.good_len = offset as u64;
-    }
-    out
-}
-
-/// Parses one framed line back into its record. `None` on any mismatch —
-/// the caller treats that as a (counted) cache fault and recomputes.
-fn parse_record(bytes: &[u8]) -> Option<(String, Entry)> {
-    let scan = scan(bytes);
-    let rec = scan.records.into_iter().next()?;
-    Some((rec.key, rec.entry))
 }
 
 /// The segment index file content (`index.mmri`).
@@ -257,6 +185,11 @@ impl DiskTier {
         let mut total_records = 0u64;
         let mut live_names: Vec<String> = Vec::new();
         for name in &segments {
+            if seg_generation(name).is_none() {
+                faults.errors += 1;
+                obs::info!("cache {}: {name:?} is not a segment name, skipping it", dir.display());
+                continue;
+            }
             let path = dir.join(name);
             let bytes = match std::fs::read(&path) {
                 Ok(b) => b,
@@ -267,7 +200,7 @@ impl DiskTier {
                     continue;
                 }
             };
-            if !bytes.is_empty() && !bytes.starts_with(TAG.as_bytes()) {
+            if !SEGMENT.claims(&bytes) {
                 // Not a segment at all — someone else's file. Skip it
                 // whole; never delete what we did not write.
                 faults.errors += 1;
@@ -277,21 +210,26 @@ impl DiskTier {
                 );
                 continue;
             }
-            let scan = scan(&bytes);
+            let scan = framelog::scan(SEGMENT, &bytes);
             if scan.torn {
                 faults.torn_tails += 1;
+                let repair = framelog::repair(&path, SEGMENT)?;
                 obs::info!(
                     "cache {}: truncated torn tail ({} of {} bytes kept)",
                     path.display(),
-                    scan.good_len,
+                    repair.kept,
                     bytes.len()
                 );
-                let f = OpenOptions::new().write(true).open(&path)?;
-                f.set_len(scan.good_len)?;
             }
-            faults.errors += scan.bad_records;
             let seg_idx = live_names.len();
-            for rec in scan.records {
+            for frame in scan.frames.iter().filter(|f| is_put(f)) {
+                // The frame vouched for the bytes but the schema moved on
+                // (or a bug wrote nonsense). Cache records are disposable:
+                // drop this one, keep the rest.
+                let Ok(rec) = serde_json::from_str::<PutRecord>(frame.json) else {
+                    faults.errors += 1;
+                    continue;
+                };
                 total_records += 1;
                 if entries.insert(rec.key.clone(), rec.entry).is_none() {
                     order.push(rec.key.clone());
@@ -300,27 +238,28 @@ impl DiskTier {
                     rec.key,
                     RecordLoc {
                         seg: seg_idx,
-                        offset: rec.offset,
-                        len: rec.len,
+                        offset: frame.offset as u64,
+                        len: frame.len as u64,
                     },
                 );
             }
             live_names.push(name.clone());
         }
-        segments = live_names;
-
+        // Past every segment name seen, skipped ones included: a new
+        // segment must never reopen a file this scan refused.
         let next_gen = segments
             .iter()
-            .filter_map(|n| n[4..12].parse::<u64>().ok())
+            .filter_map(|n| seg_generation(n))
             .max()
             .map_or(0, |g| g + 1);
+        segments = live_names;
 
         // Ensure there is a writable current segment; this is also the
         // writability probe that makes an unreadable/unwritable directory
         // fail open() instead of failing mid-run.
         let (current_name, created) = match segments.last() {
             Some(name) => (name.clone(), false),
-            None => (Self::seg_name(0), true),
+            None => (Self::seg_name(next_gen), true),
         };
         let current_path = dir.join(&current_name);
         let current = OpenOptions::new()
@@ -338,7 +277,7 @@ impl DiskTier {
             current,
             current_len,
             roll_bytes,
-            next_gen: next_gen.max(1),
+            next_gen: next_gen + u64::from(created),
             index,
             total_records,
             records_written: total_records,
@@ -371,16 +310,19 @@ impl DiskTier {
         write_atomic(&self.dir.join("index.mmri"), &json)
     }
 
-    /// Reads one live record back. `None` (never an error) on any
-    /// mismatch — a cache fault costs a recompute, not a failure.
+    /// Reads one live record back: only its own line, decoded as one
+    /// frame. `None` (never an error) on any mismatch — a cache fault
+    /// costs a recompute, not a failure.
     pub fn get(&self, key_hex: &str) -> Option<Entry> {
         let loc = self.index.get(key_hex)?;
-        let path = self.dir.join(self.segments.get(loc.seg)?);
-        let bytes = std::fs::read(path).ok()?;
-        let end = usize::try_from(loc.offset + loc.len).ok()?;
-        let start = usize::try_from(loc.offset).ok()?;
-        let (key, entry) = parse_record(bytes.get(start..end)?)?;
-        (key == key_hex).then_some(entry)
+        let mut file = File::open(self.dir.join(self.segments.get(loc.seg)?)).ok()?;
+        file.seek(SeekFrom::Start(loc.offset)).ok()?;
+        let mut line = vec![0; usize::try_from(loc.len).ok()?];
+        file.read_exact(&mut line).ok()?;
+        let scan = framelog::scan(SEGMENT, &line);
+        let frame = scan.frames.first().filter(|f| f.len == line.len() && is_put(f))?;
+        let rec = serde_json::from_str::<PutRecord>(frame.json).ok()?;
+        (rec.key == key_hex).then_some(rec.entry)
     }
 
     /// Durably appends one record, rolling the segment when it outgrows
@@ -388,7 +330,7 @@ impl DiskTier {
     ///
     /// Under an installed chaos plan this record's write may be torn: a
     /// partial frame is flushed first, then the real recovery path
-    /// (rescan, truncate) runs before the full record lands — the same
+    /// ([`framelog::tear`]) runs before the full record lands — the same
     /// discipline as the checkpoint journal.
     ///
     /// # Errors
@@ -407,10 +349,10 @@ impl DiskTier {
         if let Some(plan) = montecarlo::fault::active() {
             if plan.torn_write(record_no) {
                 montecarlo::fault::ledger().note_injected_torn_write();
-                let partial = &line.as_bytes()[..line.len() * 2 / 3];
-                self.current.write_all(partial)?;
-                let _ = self.current.sync_data();
-                torn_tails += self.recover_torn_tail()?;
+                let path = self.dir.join(self.segments.last().expect("a current segment exists"));
+                let repair = framelog::tear(&mut self.current, &path, SEGMENT, &line)?;
+                self.current_len = repair.kept;
+                torn_tails += u64::from(repair.cut > 0);
             }
         }
         let offset = self.current_len;
@@ -431,27 +373,6 @@ impl DiskTier {
             self.roll()?;
         }
         Ok(torn_tails)
-    }
-
-    /// Re-scans the current segment and truncates any invalid tail — the
-    /// recovery [`open`](DiskTier::open) performs, run in-process after an
-    /// injected torn write. Returns how many tails were truncated (0/1).
-    fn recover_torn_tail(&mut self) -> std::io::Result<u64> {
-        let path = self.dir.join(self.segments.last().expect("a current segment exists"));
-        let bytes = std::fs::read(&path)?;
-        let scan = scan(&bytes);
-        if scan.torn {
-            self.current.set_len(scan.good_len)?;
-            self.current_len = scan.good_len;
-            obs::info!(
-                "cache {}: truncated torn tail ({} of {} bytes kept)",
-                path.display(),
-                scan.good_len,
-                bytes.len()
-            );
-            return Ok(1);
-        }
-        Ok(0)
     }
 
     /// Starts a fresh current segment and rewrites the index.
@@ -538,6 +459,7 @@ impl DiskTier {
 mod tests {
     use super::*;
     use crate::acc::{AccState, BernoulliState, CachedReport};
+    use obs::framelog::crc32;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mmr-store-seg-{tag}-{}", std::process::id()));
@@ -693,6 +615,82 @@ mod tests {
         assert_eq!(faults.torn_tails, 0);
         assert_eq!(live.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stray_segment_names_are_counted_and_never_opened() {
+        let dir = tmp_dir("strayname");
+        {
+            let (mut t, _, _) = DiskTier::open(&dir, DEFAULT_ROLL_BYTES).unwrap();
+            t.put("k1", &entry(1)).unwrap();
+        }
+        // No index, so the directory scan finds the stray names.
+        std::fs::remove_file(dir.join("index.mmri")).unwrap();
+        for stray in ["seg-.mmrs", "seg-1x.mmrs", "seg-99999999999999999999.mmrs"] {
+            std::fs::write(dir.join(stray), "MMRS 1 put half").unwrap();
+        }
+        let (t, live, faults) = DiskTier::open(&dir, DEFAULT_ROLL_BYTES).unwrap();
+        assert_eq!(faults.errors, 3, "each stray name is counted");
+        assert_eq!(faults.torn_tails, 0, "and never opened, so never repaired");
+        assert_eq!(live.len(), 1);
+        assert_eq!(t.get("k1"), Some(entry(1)));
+        assert_eq!(std::fs::read(dir.join("seg-.mmrs")).unwrap(), b"MMRS 1 put half");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_refused_file_is_never_reused_as_the_current_segment() {
+        let dir = tmp_dir("refusedcurrent");
+        std::fs::write(dir.join("seg-00000000.mmrs"), "not a segment\n").unwrap();
+        {
+            let (mut t, live, faults) = DiskTier::open(&dir, DEFAULT_ROLL_BYTES).unwrap();
+            assert_eq!(faults.errors, 1);
+            assert!(live.is_empty());
+            t.put("k1", &entry(1)).unwrap();
+        }
+        assert_eq!(std::fs::read(dir.join("seg-00000000.mmrs")).unwrap(), b"not a segment\n");
+        let (t, live, faults) = DiskTier::open(&dir, DEFAULT_ROLL_BYTES).unwrap();
+        assert_eq!(faults.errors, 0, "the index no longer lists the refused file");
+        assert_eq!(live.len(), 1, "the record persisted in a segment of its own");
+        assert_eq!(t.get("k1"), Some(entry(1)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn index_entries_outside_the_directory_are_never_touched() {
+        let dir = tmp_dir("hostileindex");
+        let outside = tmp_dir("hostileindex-victim");
+        let victim = outside.join("victim.txt");
+        std::fs::write(&victim, "").unwrap();
+        {
+            let (mut t, _, _) = DiskTier::open(&dir, DEFAULT_ROLL_BYTES).unwrap();
+            t.put("k1", &entry(1)).unwrap();
+        }
+        let idx = IndexFile {
+            version: VERSION,
+            segments: vec![
+                "seg-00000000.mmrs".into(),
+                victim.to_str().unwrap().into(),
+                format!("../{}/victim.txt", outside.file_name().unwrap().to_str().unwrap()),
+            ],
+        };
+        write_atomic(&dir.join("index.mmri"), &serde_json::to_string(&idx).unwrap()).unwrap();
+
+        let (mut t, live, faults) = DiskTier::open(&dir, DEFAULT_ROLL_BYTES).unwrap();
+        assert_eq!(faults.errors, 2, "both foreign entries are counted");
+        assert_eq!(live.len(), 1);
+        // Puts land in the real segment, and compaction leaves the file
+        // alone.
+        for v in 2..=9 {
+            t.put("k2", &entry(v)).unwrap();
+        }
+        t.compact(&t.read_live()).unwrap();
+        assert_eq!(t.get("k2"), Some(entry(9)));
+        assert_eq!(std::fs::read(&victim).unwrap(), b"", "the outside file is untouched");
+        let index = std::fs::read_to_string(dir.join("index.mmri")).unwrap();
+        assert!(!index.contains("victim"), "{index}");
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&outside).unwrap();
     }
 
     #[test]

@@ -326,23 +326,6 @@ fn cmd_inspect(args: &Args) {
         std::fs::read(path)
             .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", path.display())))
     };
-    let parse_flight = |path: &std::path::Path, bytes: &[u8]| -> obs::flight::ParsedLog {
-        let parsed = obs::flight::parse_log(&String::from_utf8_lossy(bytes));
-        if parsed.torn {
-            println!(
-                "note: torn tail truncated after {} valid events ({})",
-                parsed.events.len(),
-                path.display()
-            );
-        }
-        if parsed.skipped > 0 {
-            println!(
-                "note: {} well-framed line(s) of an unknown version skipped",
-                parsed.skipped
-            );
-        }
-        parsed
-    };
     let render_dossier_bytes = |path: &std::path::Path, bytes: &[u8]| {
         let text = String::from_utf8_lossy(bytes);
         match serde_json::from_str::<obs::flight::Dossier>(&text) {
@@ -374,26 +357,15 @@ fn cmd_inspect(args: &Args) {
     }
     let bytes = read(path);
     if bytes.starts_with(b"MMRE") {
-        let parsed = parse_flight(path, &bytes);
-        print!("{}", obs::flight::render_timeline(&parsed.events));
-        print!("{}", obs::flight::render_histogram(&parsed.events));
-        print!("{}", obs::flight::render_convergence(&parsed.events));
-        if let Some(other) = &args.diff {
+        let other = args.diff.as_ref().map(|other| {
             let other_bytes = read(other);
             if !other_bytes.starts_with(b"MMRE") {
                 fail(format!("{}: not a flight event log", other.display()));
             }
-            let other_parsed = parse_flight(other, &other_bytes);
-            println!("diff vs {}:", other.display());
-            print!(
-                "{}",
-                obs::flight::diff_logs(&parsed.events, &other_parsed.events).render()
-            );
-            print!(
-                "{}",
-                obs::flight::diff_trajectories(&parsed.events, &other_parsed.events).render()
-            );
-        }
+            (other.as_path(), other_bytes)
+        });
+        let other = other.as_ref().map(|(p, b)| (*p, b.as_slice()));
+        print!("{}", obs::flight::render_report(path, &bytes, other));
         return;
     }
     if bytes.starts_with(b"{") {
